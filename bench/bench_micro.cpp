@@ -46,6 +46,37 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
 
+// The LSTM attack's gemm: m stacked rows times the packed 4H x k gate
+// weights at hidden 24 (4H = 96), k = 16 for the input term (the task's
+// embedding width) and 24 for the recurrent one. m = 1 is a rebase step or
+// the shared base-token input term; m = 64 is a full scoring chunk.
+void BM_GemmNtPacked(benchmark::State& state) {
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  const std::size_t k = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t n = 96;
+  Rng rng(1);
+  Matrix a(m, k);
+  Matrix b(n, k);
+  a.fill_normal(rng, 1.0f);
+  b.fill_normal(rng, 1.0f);
+  PackedB packed;
+  gemm_pack_b(b.data(), n, k, packed);
+  Matrix c(m, n);
+  for (auto _ : state) {
+    gemm_nt_packed(a.data(), m, packed, c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["FLOPS"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * 2 * m * n * k),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmNtPacked)
+    ->Args({1, 16})
+    ->Args({1, 24})
+    ->Args({64, 16})
+    ->Args({64, 24});
+
 void BM_WCnnForward(benchmark::State& state) {
   WCnnConfig config;
   config.embed_dim = task().config.embedding_dim;

@@ -5,10 +5,11 @@
 #   cmake -B build -S . -DADVTEXT_SANITIZE=thread
 #   cmake -B build -S . -DADVTEXT_WERROR=ON
 #
-# Everything is applied through two interface targets linked into every
+# Everything is applied through three interface targets linked into every
 # advtext target (library, tests, benches, examples) so that compile and
 # link flags stay consistent across the tree:
-#   advtext_warnings  - warning set (+ optional -Werror)
+#   advtext_codegen    - floating-point code generation rules
+#   advtext_warnings   - warning set (+ optional -Werror)
 #   advtext_sanitizers - -fsanitize=... compile and link flags
 
 include_guard(GLOBAL)
@@ -17,6 +18,18 @@ set(ADVTEXT_SANITIZE "" CACHE STRING
     "Semicolon-separated sanitizers to enable: any of address, undefined, \
 thread, memory, leak. address;undefined is the recommended CI combination.")
 option(ADVTEXT_WERROR "Treat advtext warnings as errors" OFF)
+
+# ---- Code generation --------------------------------------------------------
+
+add_library(advtext_codegen INTERFACE)
+# No multiply-add contraction. Batched == sequential scoring parity and the
+# parity between the AVX2 and baseline builds of the hot kernels
+# (ADVTEXT_AVX2_CLONES in src/tensor/tensor.h) both rest on every a * b + c
+# rounding twice on every path; one fused path would change bits the others
+# do not. GCC contracts by default whenever the target has FMA, so without
+# this a -march=native, an FMA clone target or an aarch64 build would
+# silently break parity.
+target_compile_options(advtext_codegen INTERFACE -ffp-contract=off)
 
 # ---- Warnings ---------------------------------------------------------------
 
@@ -100,7 +113,8 @@ thread or memory")
 (DCHECKs forced on)")
 endif()
 
-# Links both interface targets into an existing target.
+# Links the three interface targets into an existing target.
 function(advtext_apply_toolchain target)
-  target_link_libraries(${target} PRIVATE advtext_warnings advtext_sanitizers)
+  target_link_libraries(${target} PRIVATE advtext_codegen advtext_warnings
+                        advtext_sanitizers)
 endfunction()

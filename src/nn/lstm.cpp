@@ -93,6 +93,7 @@ void LstmClassifier::gate_preact_h(const PackedB& wh, const float* h,
   gemm_nt_packed(h, m, wh, zh);
 }
 
+ADVTEXT_AVX2_CLONES
 void LstmClassifier::step_from_preact(const float* zx, const float* zh,
                                       float* h, float* c) const {
   // Split into contiguous elementwise passes so the gate nonlinearities
@@ -407,19 +408,27 @@ class LstmSwapEvaluatorImpl : public SwapEvaluator {
   void do_rebase(const TokenSeq& tokens) override {
     ADVTEXT_CHECK_SHAPE(!tokens.empty()) << "LstmSwapEvaluator: empty base";
     // Weights are frozen for the lifetime of an attack; pack them once so
-    // every per-timestep gemm of the batched paths skips the tile repack.
+    // every per-timestep gemm, here and in the batched paths, skips the
+    // tile repack.
     model_.pack_gate_weights(&wx_packed_, &wh_packed_);
     const std::size_t hidden = model_.config().hidden;
+    const std::size_t n = tokens.size();
     // states_[t] = (h, c) after consuming tokens[0..t-1].
-    h_states_.assign(tokens.size() + 1, Vector(hidden, 0.0f));
-    c_states_.assign(tokens.size() + 1, Vector(hidden, 0.0f));
+    h_states_.assign(n + 1, Vector(hidden, 0.0f));
+    c_states_.assign(n + 1, Vector(hidden, 0.0f));
+    // Only the recurrent term is sequential: every step's input
+    // pre-activation comes from one gemm over the whole document. Same
+    // bits as step() by gate_preact_x + gate_preact_h + step_from_preact.
     const Matrix emb = model_.embedding().lookup(tokens);
-    Vector h(hidden, 0.0f);
-    Vector c(hidden, 0.0f);
-    for (std::size_t t = 0; t < tokens.size(); ++t) {
-      model_.step(emb.row(t), h, c);
-      h_states_[t + 1] = h;
-      c_states_[t + 1] = c;
+    Matrix zx(n, 4 * hidden);
+    model_.gate_preact_x(wx_packed_, emb.data(), n, zx.data());
+    Vector zh(4 * hidden);
+    for (std::size_t t = 0; t < n; ++t) {
+      model_.gate_preact_h(wh_packed_, h_states_[t].data(), 1, zh.data());
+      h_states_[t + 1] = h_states_[t];
+      c_states_[t + 1] = c_states_[t];
+      model_.step_from_preact(zx.row(t), zh.data(), h_states_[t + 1].data(),
+                              c_states_[t + 1].data());
     }
   }
 

@@ -87,7 +87,8 @@ class LstmClassifier final : public TrainableClassifier {
                      float* zh) const;
 
   /// One step for one row from precomputed pre-activations; updates the
-  /// raw h and c rows (length hidden) in place.
+  /// raw h and c rows (length hidden) in place. Built for AVX2 and for the
+  /// baseline ISA and picked per CPU (ADVTEXT_AVX2_CLONES), same bits.
   void step_from_preact(const float* zx, const float* zh, float* h,
                         float* c) const;
 

@@ -135,10 +135,11 @@ Matrix WCnn::predict_proba_batch(const std::vector<TokenSeq>& docs) const {
   const std::size_t nf = config_.num_filters;
   // Stack every window of every document; one gemm convolves them all.
   std::vector<std::size_t> win_start(count + 1);
-  std::vector<Matrix> embedded(count);
+  std::vector<Matrix> embedded;
+  embedded.reserve(count);
   std::size_t total = 0;
   for (std::size_t m = 0; m < count; ++m) {
-    embedded[m] = embedding_.lookup(padded(docs[m]));
+    embedded.push_back(embedding_.lookup(padded(docs[m])));
     win_start[m] = total;
     total += embedded[m].rows() - config_.kernel + 1;
   }

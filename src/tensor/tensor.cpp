@@ -150,22 +150,63 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 namespace {
 
 // Width of the packed gemm micro-kernel: kNr independent ascending-k
-// accumulator chains run side by side. Per lane the mul/add sequence is
-// identical to dot() (baseline x86-64 has no FMA, so the compiler cannot
-// contract one path and not the other); across lanes the chains are
-// independent, which is what lets them vectorize and hide the ~4-cycle
-// float-add latency that makes a lone dot() latency-bound.
+// accumulator chains run side by side, one AVX2 register (two SSE2 ones).
+// Per lane the mul/add sequence is identical to dot(): the build turns
+// contraction off and neither clone enables FMA, so no path can fuse a
+// multiply-add the other does not. Across lanes the chains are
+// independent, which is what lets them vectorize and hide the float-add
+// latency that makes a lone dot() latency-bound.
 constexpr std::size_t kNr = 8;
 
 // C = A * Bt^T where `tiles` holds ceil(brows/kNr) k-major tiles of kNr
 // columns each, trailing lanes zero-padded (padded lanes are computed but
 // never stored, so the padding value is irrelevant to the output).
+//
+// Rows of A go through in blocks of four: four independent accumulator
+// rows, so the AVX2 clone has four add chains in flight instead of
+// waiting on one (the baseline clone, with two SSE registers per row,
+// loses ~15% on it; DESIGN.md §12). The block is written out row by row
+// because GCC at -O2 keeps named accumulators in registers but spills an
+// acc[4][kNr] array. Every C(i, j) is the same ascending-k chain from 0.0f
+// whether its row falls in a block or in the 1-row remainder.
+ADVTEXT_AVX2_CLONES
 void gemm_nt_tiled(const float* a, std::size_t arows, const float* tiles,
                    std::size_t brows, std::size_t k, float* c) {
   for (std::size_t j0 = 0; j0 < brows; j0 += kNr) {
     const float* tile = tiles + (j0 / kNr) * k * kNr;
     const std::size_t lanes = std::min(kNr, brows - j0);
-    for (std::size_t i = 0; i < arows; ++i) {
+    std::size_t i = 0;
+    for (; i + 4 <= arows; i += 4) {
+      const float* a0 = a + i * k;
+      const float* a1 = a0 + k;
+      const float* a2 = a1 + k;
+      const float* a3 = a2 + k;
+      float acc0[kNr] = {0.0f};
+      float acc1[kNr] = {0.0f};
+      float acc2[kNr] = {0.0f};
+      float acc3[kNr] = {0.0f};
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const float* bt = tile + kk * kNr;
+        const float v0 = a0[kk];
+        const float v1 = a1[kk];
+        const float v2 = a2[kk];
+        const float v3 = a3[kk];
+        for (std::size_t j = 0; j < kNr; ++j) {
+          acc0[j] += v0 * bt[j];
+          acc1[j] += v1 * bt[j];
+          acc2[j] += v2 * bt[j];
+          acc3[j] += v3 * bt[j];
+        }
+      }
+      float* ci = c + i * brows + j0;
+      for (std::size_t j = 0; j < lanes; ++j) {
+        ci[j] = acc0[j];
+        ci[brows + j] = acc1[j];
+        ci[2 * brows + j] = acc2[j];
+        ci[3 * brows + j] = acc3[j];
+      }
+    }
+    for (; i < arows; ++i) {
       const float* ai = a + i * k;
       float acc[kNr] = {0.0f};
       for (std::size_t kk = 0; kk < k; ++kk) {

@@ -12,6 +12,21 @@
 #include "src/util/check.h"
 #include "src/util/rng.h"
 
+// Compiles a hot kernel twice, once for AVX2 and once for the baseline ISA,
+// and lets the loader pick the build per CPU (an ifunc resolver). Both
+// builds give the same bits: the avx2 target enables no FMA, the build
+// turns contraction off (-ffp-contract=off, cmake/AdvtextToolchain.cmake),
+// and per-lane IEEE mul/add/div and integer ops do not depend on the
+// vector width. Empty where it cannot work: under Clang and off x86-64,
+// and under TSan, whose runtime segfaults in an ifunc resolver before
+// main(). See DESIGN.md §12, "Kernel notes".
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    !defined(__SANITIZE_THREAD__)
+#define ADVTEXT_AVX2_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define ADVTEXT_AVX2_CLONES
+#endif
+
 namespace advtext {
 
 using Vector = std::vector<float>;

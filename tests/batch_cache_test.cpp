@@ -67,9 +67,26 @@ std::vector<std::unique_ptr<TextClassifier>> all_models() {
   return models;
 }
 
-// Batch sizes on both sides of the kScoreChunkRows = 64 attack chunking:
-// a single row and a sweep larger than one chunk.
-constexpr std::size_t kBatchSizes[] = {1, 80};
+// Batch sizes around the gemm kernel's 4-row block (1-5) and on both sides
+// of the kScoreChunkRows = 64 attack chunking (63-65, 80).
+constexpr std::size_t kBatchSizes[] = {1, 2, 3, 4, 5, 63, 64, 65, 80};
+
+// The recurrent evaluators' batched and sequential paths share their
+// prefix states, so for them the scalar step() loop of predict_proba is
+// the only independent reference.
+bool is_recurrent(const TextClassifier& model) {
+  return dynamic_cast<const LstmClassifier*>(&model) != nullptr ||
+         dynamic_cast<const GruClassifier*>(&model) != nullptr;
+}
+
+void expect_rows_equal(const Matrix& scores, std::size_t row,
+                       const Vector& want, const char* what) {
+  ASSERT_EQ(want.size(), scores.cols());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    EXPECT_EQ(scores(row, c), want[c])
+        << what << " row " << row << " class " << c << " diverged";
+  }
+}
 
 // eval_swap_batch == per-candidate eval_swap, float-for-float, for every
 // model family and on both the batched-gemm and (via the bench switch)
@@ -104,15 +121,51 @@ TEST(BatchedScoring, SwapBatchMatchesSequentialBitwise) {
       for (std::size_t i = 0; i < batch; ++i) {
         const Vector row =
             sequential->eval_swap(candidates[i].pos, candidates[i].word);
-        ASSERT_EQ(row.size(), scores.cols());
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          EXPECT_EQ(scores(i, c), row[c])
-              << "batched row " << i << " class " << c << " diverged";
-          EXPECT_EQ(seed_scores(i, c), row[c])
-              << "seed-path row " << i << " class " << c << " diverged";
+        expect_rows_equal(scores, i, row, "batched");
+        expect_rows_equal(seed_scores, i, row, "seed-path");
+        if (is_recurrent(*model)) {
+          TokenSeq swapped = base;
+          swapped[candidates[i].pos] = candidates[i].word;
+          expect_rows_equal(scores, i, model->predict_proba(swapped),
+                            "batched vs predict_proba");
         }
       }
     }
+  }
+}
+
+// A recurrent evaluator's cached prefix states, rebuilt on every rebase,
+// reproduce the full forward exactly: eval_tokens of the base, and every
+// swap scored from the rebuilt prefix, equal predict_proba bit for bit.
+// Covers a chain of committed swaps, first and last positions, and a
+// one-token document.
+TEST(BatchedScoring, RecurrentRebaseMatchesFullForward) {
+  for (const auto& model : all_models()) {
+    if (!is_recurrent(*model)) continue;
+    TokenSeq base = sample_tokens(33, 19);
+    auto evaluator = model->make_swap_evaluator(base);
+    const std::size_t commits[] = {0, 32, 16, 5};
+    for (const std::size_t pos : commits) {
+      SCOPED_TRACE(testing::Message() << "classes=" << model->num_classes()
+                                      << " commit at " << pos);
+      base[pos] = base[pos] == 6 ? 8 : 6;
+      evaluator->rebase(base);
+      EXPECT_EQ(evaluator->eval_tokens(base), model->predict_proba(base));
+      const std::vector<SwapCandidate> candidates = {
+          {0, 7}, {pos, 9}, {base.size() - 1, 11}};
+      Matrix scores;
+      (void)evaluator->eval_swap_batch(candidates, scores);
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        TokenSeq swapped = base;
+        swapped[candidates[i].pos] = candidates[i].word;
+        expect_rows_equal(scores, i, model->predict_proba(swapped),
+                          "post-rebase swap");
+      }
+    }
+    const TokenSeq single = {4};
+    evaluator->rebase(single);
+    EXPECT_EQ(evaluator->eval_tokens(single), model->predict_proba(single))
+        << "one-token document";
   }
 }
 
@@ -133,11 +186,8 @@ TEST(BatchedScoring, TokensBatchMatchesSequentialBitwise) {
       const BatchStatus status = batched->eval_tokens_batch(docs, scores);
       EXPECT_EQ(status.evaluated, batch);
       for (std::size_t i = 0; i < batch; ++i) {
-        const Vector row = sequential->eval_tokens(docs[i]);
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          EXPECT_EQ(scores(i, c), row[c])
-              << "batched row " << i << " class " << c << " diverged";
-        }
+        expect_rows_equal(scores, i, sequential->eval_tokens(docs[i]),
+                          "batched");
       }
     }
   }

@@ -3,7 +3,9 @@
 // finite-difference sweeps.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
@@ -93,6 +95,44 @@ TEST(MatrixOps, MatmulLargeAgainstNaive) {
       float acc = 0.0f;
       for (std::size_t k = 0; k < a.cols(); ++k) acc += a(i, k) * b(k, j);
       EXPECT_NEAR(c(i, j), acc, 1e-3f);
+    }
+  }
+}
+
+// Every C(i, j) of gemm_nt and gemm_nt_packed is dot(a_i, b_j, k), bit for
+// bit: through gemm_nt's small-problem route, the kernel's 4-row blocks and
+// 1-row remainder, and full and partial 8-column tiles. On an AVX2 host
+// this pins the AVX2 build of the kernel; where ADVTEXT_AVX2_CLONES is
+// empty (the TSan build) it pins the baseline one.
+TEST(MatrixOps, GemmNtMatchesDotBitwise) {
+  Rng rng(3);
+  const std::size_t arow_counts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65};
+  for (const std::size_t k : {1, 16, 24, 48}) {
+    for (const std::size_t brows : {1, 7, 8, 9, 96}) {
+      Matrix b(brows, k);
+      b.fill_normal(rng, 1.0f);
+      PackedB packed;
+      gemm_pack_b(b.data(), brows, k, packed);
+      for (const std::size_t arows : arow_counts) {
+        SCOPED_TRACE(testing::Message() << "arows=" << arows
+                                        << " brows=" << brows << " k=" << k);
+        Matrix a(arows, k);
+        a.fill_normal(rng, 1.0f);
+        Matrix c(arows, brows);
+        Matrix c_packed(arows, brows);
+        gemm_nt(a.data(), arows, b.data(), brows, k, c.data());
+        gemm_nt_packed(a.data(), arows, packed, c_packed.data());
+        for (std::size_t i = 0; i < arows; ++i) {
+          for (std::size_t j = 0; j < brows; ++j) {
+            const auto want = std::bit_cast<std::uint32_t>(
+                dot(a.row(i), b.row(j), k));
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(c(i, j)), want)
+                << "gemm_nt C(" << i << ", " << j << ")";
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(c_packed(i, j)), want)
+                << "gemm_nt_packed C(" << i << ", " << j << ")";
+          }
+        }
+      }
     }
   }
 }
