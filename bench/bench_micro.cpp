@@ -90,6 +90,41 @@ void BM_WCnnForward(benchmark::State& state) {
 }
 BENCHMARK(BM_WCnnForward)->Arg(25)->Arg(50)->Arg(100);
 
+// The sentence phase's scoring chunk at the benchmark victim's shape (96
+// filters): 64 paraphrases of one 80-token document of eight 10-token
+// sentences, scored in one eval_tokens_batch. Even rows rewrite five words
+// of one sentence (same length); odd rows drop one token.
+void BM_WCnnTokensBatch(benchmark::State& state) {
+  WCnnConfig config;
+  config.embed_dim = task().config.embedding_dim;
+  config.num_filters = 96;
+  WCnn model(config, Matrix(task().paragram));
+  const TokenSeq base = sample_tokens(80);
+  const WordId vocab = task().vocab.size();
+  Rng rng(11);
+  std::vector<TokenSeq> rows;
+  for (std::size_t r = 0; r < 64; ++r) {
+    TokenSeq row = base;
+    if (r % 2 == 0) {
+      const std::size_t sentence = (r / 2) % 8;
+      for (std::size_t i = 0; i < 10; i += 2) {
+        row[sentence * 10 + i] =
+            static_cast<WordId>(2 + rng.uniform_index(vocab - 2));
+      }
+    } else {
+      row.erase(row.begin() + static_cast<std::ptrdiff_t>((r * 7) % 80));
+    }
+    rows.push_back(row);
+  }
+  auto evaluator = model.make_swap_evaluator(base);
+  Matrix scores;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(evaluator->eval_tokens_batch(rows, scores));
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size());
+}
+BENCHMARK(BM_WCnnTokensBatch);
+
 void BM_WCnnSwapEval(benchmark::State& state) {
   WCnnConfig config;
   config.embed_dim = task().config.embedding_dim;

@@ -109,6 +109,14 @@ thread or memory")
   # checks (ADVTEXT_DCHECK) on even in optimized build types.
   target_compile_definitions(advtext_sanitizers INTERFACE
     ADVTEXT_FORCE_DCHECKS=1)
+  # The evaluators resize and reuse their scratch vectors, so a read past
+  # size() that stays inside the capacity is invisible to ASan; libstdc++'s
+  # own bounds assertions (operator[], front/back, ...) catch it.
+  if("address" IN_LIST ADVTEXT_SANITIZE OR
+     "undefined" IN_LIST ADVTEXT_SANITIZE)
+    target_compile_definitions(advtext_sanitizers INTERFACE
+      _GLIBCXX_ASSERTIONS)
+  endif()
   message(STATUS "advtext: sanitizers enabled: ${ADVTEXT_SANITIZE} \
 (DCHECKs forced on)")
 endif()

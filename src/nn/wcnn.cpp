@@ -41,21 +41,25 @@ TokenSeq WCnn::padded(const TokenSeq& tokens) const {
   return out;
 }
 
-void WCnn::window_preact(const Matrix& embedded, std::size_t win,
-                         float* out) const {
-  const std::size_t span = config_.kernel * config_.embed_dim;
-  const float* window = embedded.row(win);  // rows are contiguous
-  for (std::size_t f = 0; f < config_.num_filters; ++f) {
-    out[f] = dot(conv_w_.row(f), window, span) + conv_b_[f];
+namespace {
+
+// im2col: the rows of `embedded` are contiguous, so window w is the
+// kernel * D floats from row w on; copies all of them into stacked rows.
+void im2col(const Matrix& embedded, std::size_t kernel, float* out) {
+  const std::size_t span = kernel * embedded.cols();
+  for (std::size_t w = 0; w + kernel <= embedded.rows(); ++w) {
+    std::copy(embedded.row(w), embedded.row(w) + span, out + w * span);
   }
 }
 
+}  // namespace
+
 Matrix WCnn::conv_preact(const Matrix& embedded) const {
   const std::size_t num_windows = embedded.rows() - config_.kernel + 1;
+  Matrix windows(num_windows, config_.kernel * config_.embed_dim);
+  im2col(embedded, config_.kernel, windows.data());
   Matrix preact(num_windows, config_.num_filters);
-  for (std::size_t i = 0; i < num_windows; ++i) {
-    window_preact(embedded, i, preact.row(i));
-  }
+  window_preact_batch(windows.data(), num_windows, preact.data());
   return preact;
 }
 
@@ -96,11 +100,20 @@ void WCnn::apply_mc_dropout(float* pooled, std::size_t n) const {
   }
 }
 
+void WCnn::pack_filters(PackedB* out) const {
+  gemm_pack_b(conv_w_.data(), config_.num_filters,
+              config_.kernel * config_.embed_dim, *out);
+}
+
 void WCnn::window_preact_batch(const float* windows, std::size_t m,
-                               float* out) const {
-  const std::size_t span = config_.kernel * config_.embed_dim;
+                               float* out, const PackedB* filters) const {
   const std::size_t nf = config_.num_filters;
-  gemm_nt(windows, m, conv_w_.data(), nf, span, out);
+  if (filters != nullptr) {
+    gemm_nt_packed(windows, m, *filters, out);
+  } else {
+    gemm_nt(windows, m, conv_w_.data(), nf,
+            config_.kernel * config_.embed_dim, out);
+  }
   for (std::size_t i = 0; i < m; ++i) {
     float* row = out + i * nf;
     for (std::size_t f = 0; f < nf; ++f) row[f] += conv_b_[f];
@@ -130,8 +143,6 @@ Matrix WCnn::predict_proba_batch(const std::vector<TokenSeq>& docs) const {
   const std::size_t count = docs.size();
   Matrix out(count, config_.num_classes);
   if (count == 0) return out;
-  const std::size_t dim = config_.embed_dim;
-  const std::size_t span = config_.kernel * dim;
   const std::size_t nf = config_.num_filters;
   // Stack every window of every document; one gemm convolves them all.
   std::vector<std::size_t> win_start(count + 1);
@@ -144,13 +155,9 @@ Matrix WCnn::predict_proba_batch(const std::vector<TokenSeq>& docs) const {
     total += embedded[m].rows() - config_.kernel + 1;
   }
   win_start[count] = total;
-  Matrix windows(total, span);
+  Matrix windows(total, config_.kernel * config_.embed_dim);
   for (std::size_t m = 0; m < count; ++m) {
-    const std::size_t nw = win_start[m + 1] - win_start[m];
-    for (std::size_t w = 0; w < nw; ++w) {
-      const float* src = embedded[m].row(w);  // rows are contiguous
-      std::copy(src, src + span, windows.row(win_start[m] + w));
-    }
+    im2col(embedded[m], config_.kernel, windows.row(win_start[m]));
   }
   Matrix preact(total, nf);
   window_preact_batch(windows.data(), total, preact.data());
@@ -311,14 +318,32 @@ void WCnn::zero_grad() {
 
 namespace {
 
-/// Caches the padded embedding matrix, conv pre-activations and per-filter
-/// prefix/suffix running maxima of the (ReLU'd) feature maps. A swap at
-/// position p touches only windows [p-kernel+1, p], a contiguous range, so
-/// the new pooled vector is max(prefix-before, new windows, suffix-after).
+/// Caches the base document's conv pre-activations and per-filter prefix /
+/// suffix running maxima of its (ReLU'd) feature maps. A scored row, a swap
+/// or a token sequence of any length, shares a common prefix of `a` tokens
+/// and a disjoint common suffix of `s` tokens with the base. With N and L
+/// the base and row lengths, the row's windows below lo = max(0, a-kernel+1)
+/// are the base's own, and its windows from
+/// end = max(lo, min(L-kernel+1, L-s)) on are the base's shifted by N - L.
+/// So its pooled vector is max(prefix_[lo], windows [lo, end),
+/// suffix_[end + N - L]), and only [lo, end) is convolved: every row's
+/// windows in one packed gemm. A same-length row recomputes only the
+/// windows that touch a changed token and takes the rest of [lo, end) from
+/// the base. A max over ReLU'd values is exact and order-free, so every row
+/// equals predict_proba bit for bit. Lengths are those of the padded
+/// sequences predict_proba convolves, so rows and bases shorter than the
+/// kernel take the same path.
 class WCnnSwapEvaluatorImpl : public SwapEvaluator {
  public:
   WCnnSwapEvaluatorImpl(const WCnn& model, const TokenSeq& base)
-      : model_(model) {
+      : model_(model),
+        kernel_(model.config().kernel),
+        dim_(model.config().embed_dim),
+        nf_(model.config().num_filters),
+        one_row_(1, model.num_classes()) {
+    // Weights are frozen while the evaluator lives: pack the filter bank
+    // once for the rebase, swap and tokens gemms.
+    model_.pack_filters(&filters_);
     rebase(base);
   }
 
@@ -329,161 +354,188 @@ class WCnnSwapEvaluatorImpl : public SwapEvaluator {
     // MC-dropout forwards are stochastic draws; memoizing one would change
     // results, so the shell's cache is bypassed whenever dropout is live.
     cacheable_ = model_.config().mc_dropout <= 0.0f;
-    base_len_ = tokens.size();
     padded_ = model_.padded(tokens);
-    embedded_ = model_.embedding().lookup(padded_);
-    preact_ = model_.conv_preact(embedded_);
-    const std::size_t nw = preact_.rows();
-    const std::size_t nf = model_.config().num_filters;
+    const std::size_t nw = padded_.size() - kernel_ + 1;
+    wins_.resize(nw * kernel_ * dim_);
+    for (std::size_t w = 0; w < nw; ++w) {
+      fill_window(padded_.data(), padded_.size(), w,
+                  wins_.data() + w * kernel_ * dim_);
+    }
+    preact_ = Matrix(nw, nf_);
+    model_.window_preact_batch(wins_.data(), nw, preact_.data(), &filters_);
     // prefix_[i] = max over windows < i; suffix_[i] = max over windows >= i.
-    prefix_ = Matrix(nw + 1, nf);
-    suffix_ = Matrix(nw + 1, nf);
-    for (std::size_t f = 0; f < nf; ++f) {
+    prefix_ = Matrix(nw + 1, nf_);
+    suffix_ = Matrix(nw + 1, nf_);
+    for (std::size_t f = 0; f < nf_; ++f) {
       prefix_(0, f) = 0.0f;  // ReLU output lower bound; empty max = 0
       suffix_(nw, f) = 0.0f;
     }
     for (std::size_t i = 0; i < nw; ++i) {
-      for (std::size_t f = 0; f < nf; ++f) {
+      for (std::size_t f = 0; f < nf_; ++f) {
         prefix_(i + 1, f) =
             std::max(prefix_(i, f), std::max(0.0f, preact_(i, f)));
       }
     }
     for (std::size_t i = nw; i > 0; --i) {
-      for (std::size_t f = 0; f < nf; ++f) {
+      for (std::size_t f = 0; f < nf_; ++f) {
         suffix_(i - 1, f) =
             std::max(suffix_(i, f), std::max(0.0f, preact_(i - 1, f)));
       }
     }
   }
 
+  // The sequential hooks are one-row calls of the batch paths.
   Vector do_eval_swap(std::size_t pos, WordId candidate) override {
-    ADVTEXT_CHECK_SHAPE(pos < base_len_) << "eval_swap: position out of range";
-    const auto& cfg = model_.config();
-    const std::size_t nw = preact_.rows();
-    const std::size_t lo =
-        pos >= cfg.kernel - 1 ? pos - (cfg.kernel - 1) : 0;
-    const std::size_t hi = std::min(pos, nw - 1);
-
-    // Temporarily patch the embedding row, recompute affected windows.
-    const Vector saved = embedded_.row_copy(pos);
-    const float* cand_vec = model_.embedding().vector(candidate);
-    for (std::size_t d = 0; d < cfg.embed_dim; ++d) {
-      embedded_(pos, d) = cand_vec[d];
-    }
-    Vector pooled(cfg.num_filters);
-    std::vector<float> scratch(cfg.num_filters);
-    for (std::size_t f = 0; f < cfg.num_filters; ++f) {
-      pooled[f] = std::max(prefix_(lo, f), suffix_(hi + 1, f));
-    }
-    for (std::size_t i = lo; i <= hi; ++i) {
-      model_.window_preact(embedded_, i, scratch.data());
-      for (std::size_t f = 0; f < cfg.num_filters; ++f) {
-        pooled[f] = std::max(pooled[f], std::max(0.0f, scratch[f]));
-      }
-    }
-    embedded_.set_row(pos, saved);
-
-    model_.apply_mc_dropout(pooled);
-    return softmax(model_.output_logits(pooled));
+    const SwapCandidate row_candidate{pos, candidate};
+    const std::size_t row = 0;
+    do_eval_swap_batch(&row_candidate, &row, 1, one_row_);
+    return one_row_.row_copy(0);
   }
 
   Vector do_eval_tokens(const TokenSeq& tokens) override {
-    // Multi-position candidate: recompute only windows covering changed
-    // positions, take the column max with cached unaffected windows.
-    if (tokens.size() != base_len_) return model_.predict_proba(tokens);
-    const auto& cfg = model_.config();
-    const std::size_t nw = preact_.rows();
-    std::vector<bool> dirty(nw, false);
-    std::vector<std::pair<std::size_t, Vector>> patched;
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      if (tokens[i] == padded_[i]) continue;
-      patched.emplace_back(i, embedded_.row_copy(i));
-      const float* cand = model_.embedding().vector(tokens[i]);
-      for (std::size_t d = 0; d < cfg.embed_dim; ++d) {
-        embedded_(i, d) = cand[d];
-      }
-      const std::size_t lo = i >= cfg.kernel - 1 ? i - (cfg.kernel - 1) : 0;
-      const std::size_t hi = std::min(i, nw - 1);
-      for (std::size_t w = lo; w <= hi; ++w) dirty[w] = true;
-    }
-    Vector pooled(cfg.num_filters, 0.0f);
-    std::vector<float> scratch(cfg.num_filters);
-    for (std::size_t w = 0; w < nw; ++w) {
-      const float* row = preact_.row(w);
-      if (dirty[w]) {
-        model_.window_preact(embedded_, w, scratch.data());
-        row = scratch.data();
-      }
-      for (std::size_t f = 0; f < cfg.num_filters; ++f) {
-        pooled[f] = std::max(pooled[f], std::max(0.0f, row[f]));
-      }
-    }
-    for (auto& [i, saved] : patched) embedded_.set_row(i, saved);
-
-    model_.apply_mc_dropout(pooled);
-    return softmax(model_.output_logits(pooled));
+    const TokenSeq* doc = &tokens;
+    const std::size_t row = 0;
+    do_eval_tokens_batch(&doc, &row, 1, one_row_);
+    return one_row_.row_copy(0);
   }
 
-  // Batched candidate scoring: every affected window of every candidate
-  // (at most `kernel` each) is stacked into one matrix and re-convolved by
-  // a single gemm; pooling then reads the cached prefix/suffix maxima per
-  // row. MC-dropout draws happen per row in request order, so the RNG
-  // stream matches the sequential path exactly.
+  // A swap is a same-length row with one change: a = pos, s = N - 1 - pos.
   void do_eval_swap_batch(const SwapCandidate* candidates,
                           const std::size_t* rows, std::size_t count,
                           Matrix& out) override {
-    const auto& cfg = model_.config();
-    const std::size_t dim = cfg.embed_dim;
-    const std::size_t span = cfg.kernel * dim;
-    const std::size_t nf = cfg.num_filters;
-    const std::size_t nw = preact_.rows();
-    const std::size_t classes = model_.num_classes();
-    win_start_.resize(count + 1);
-    std::size_t total = 0;
-    for (std::size_t m = 0; m < count; ++m) {
-      win_start_[m] = total;
-      const std::size_t pos = candidates[m].pos;
-      const std::size_t lo =
-          pos >= cfg.kernel - 1 ? pos - (cfg.kernel - 1) : 0;
-      const std::size_t hi = std::min(pos, nw - 1);
-      total += hi - lo + 1;
-    }
-    win_start_[count] = total;
-    ensure_window_scratch(total, span, nf);
+    const std::size_t n = padded_.size();
+    plans_.clear();
+    dirty_.clear();
     for (std::size_t m = 0; m < count; ++m) {
       const std::size_t pos = candidates[m].pos;
-      const std::size_t lo =
-          pos >= cfg.kernel - 1 ? pos - (cfg.kernel - 1) : 0;
-      const std::size_t hi = std::min(pos, nw - 1);
-      const float* cand_vec = model_.embedding().vector(candidates[m].word);
-      for (std::size_t w = lo; w <= hi; ++w) {
-        float* dst = wins_.row(win_start_[m] + (w - lo));
-        const float* src = embedded_.row(w);  // rows are contiguous
-        std::copy(src, src + span, dst);
-        std::copy(cand_vec, cand_vec + dim, dst + (pos - w) * dim);
+      const std::size_t lo = first_window(pos);
+      const std::size_t end = std::min(pos + 1, n - kernel_ + 1);
+      add_row(lo, end, end);
+      const float* word = model_.embedding().vector(candidates[m].word);
+      for (std::size_t w = lo; w < end; ++w) {
+        float* dst = add_window(w);
+        fill_window(padded_.data(), n, w, dst);
+        std::copy(word, word + dim_, dst + (pos - w) * dim_);
       }
     }
-    model_.window_preact_batch(wins_.data(), total, wpre_.data());
-    if (pooled_.rows() < count || pooled_.cols() != nf) {
-      pooled_ = Matrix(count, nf);
-    }
+    score_rows(rows, count, out);
+  }
+
+  void do_eval_tokens_batch(const TokenSeq* const* docs,
+                            const std::size_t* rows, std::size_t count,
+                            Matrix& out) override {
+    const std::size_t n = padded_.size();
+    plans_.clear();
+    dirty_.clear();
     for (std::size_t m = 0; m < count; ++m) {
-      const std::size_t pos = candidates[m].pos;
-      const std::size_t lo =
-          pos >= cfg.kernel - 1 ? pos - (cfg.kernel - 1) : 0;
-      const std::size_t hi = std::min(pos, nw - 1);
-      float* pooled = pooled_.row(m);
-      for (std::size_t f = 0; f < nf; ++f) {
-        pooled[f] = std::max(prefix_(lo, f), suffix_(hi + 1, f));
+      const TokenSeq& doc = *docs[m];
+      const auto token = [&doc](std::size_t i) {
+        return i < doc.size() ? doc[i] : Vocab::kPad;
+      };
+      const std::size_t len = std::max(doc.size(), kernel_);  // padded
+      const std::size_t shorter = std::min(len, n);
+      std::size_t a = 0;
+      while (a < shorter && token(a) == padded_[a]) ++a;
+      std::size_t s = 0;
+      while (a + s < shorter && token(len - 1 - s) == padded_[n - 1 - s]) {
+        ++s;
       }
-      for (std::size_t w = lo; w <= hi; ++w) {
-        const float* row = wpre_.row(win_start_[m] + (w - lo));
-        for (std::size_t f = 0; f < nf; ++f) {
+      const std::size_t lo = first_window(a);
+      const std::size_t end =
+          std::max(lo, std::min(len - kernel_ + 1, len - s));
+      add_row(lo, end, end + n - len);
+      if (len != n) {
+        for (std::size_t w = lo; w < end; ++w) {
+          fill_window(doc.data(), doc.size(), w, add_window(w));
+        }
+        continue;
+      }
+      // Same length: only the windows that touch a changed token, once each.
+      std::size_t next = lo;
+      for (std::size_t i = a; i < len - s; ++i) {
+        if (token(i) == padded_[i]) continue;
+        const std::size_t last = std::min(i + 1, end);
+        for (std::size_t w = std::max(next, first_window(i)); w < last; ++w) {
+          fill_window(doc.data(), doc.size(), w, add_window(w));
+        }
+        next = std::max(next, last);
+      }
+    }
+    score_rows(rows, count, out);
+  }
+
+ private:
+  struct RowPlan {
+    std::size_t lo;      ///< windows below come from prefix_[lo]
+    std::size_t end;     ///< windows from here on come from suffix_[suffix]
+    std::size_t suffix;
+    std::size_t first;   ///< the row's first recomputed window in dirty_
+  };
+
+  /// The first window that covers token i.
+  std::size_t first_window(std::size_t i) const {
+    return i + 1 > kernel_ ? i + 1 - kernel_ : 0;
+  }
+
+  void add_row(std::size_t lo, std::size_t end, std::size_t suffix) {
+    plans_.push_back({lo, end, suffix, dirty_.size()});
+  }
+
+  /// Appends window w of the current row to the stack; returns its slot.
+  float* add_window(std::size_t w) {
+    const std::size_t span = kernel_ * dim_;
+    dirty_.push_back(w);
+    wins_.resize(dirty_.size() * span);
+    return wins_.data() + (dirty_.size() - 1) * span;
+  }
+
+  /// dst = the embeddings of tokens[w, w + kernel), Vocab::kPad from `len`
+  /// on: window w of the padded sequence, as predict_proba lays it out.
+  void fill_window(const WordId* tokens, std::size_t len, std::size_t w,
+                   float* dst) const {
+    for (std::size_t o = 0; o < kernel_; ++o) {
+      const float* x = model_.embedding().vector(
+          w + o < len ? tokens[w + o] : Vocab::kPad);
+      std::copy(x, x + dim_, dst + o * dim_);
+    }
+  }
+
+  /// Convolves the stacked windows in one packed gemm; pools each row in
+  /// request order, so MC-dropout draws match the sequential path; then
+  /// runs the output head over all rows in one gemm.
+  void score_rows(const std::size_t* rows, std::size_t count, Matrix& out) {
+    const std::size_t total = dirty_.size();
+    wpre_.resize(total * nf_);
+    if (total > 0) {
+      model_.window_preact_batch(wins_.data(), total, wpre_.data(),
+                                 &filters_);
+    }
+    pooled_.resize(count * nf_);
+    for (std::size_t m = 0; m < count; ++m) {
+      const RowPlan& plan = plans_[m];
+      float* pooled = pooled_.data() + m * nf_;
+      for (std::size_t f = 0; f < nf_; ++f) {
+        pooled[f] = std::max(prefix_(plan.lo, f), suffix_(plan.suffix, f));
+      }
+      std::size_t d = plan.first;
+      const std::size_t d_end = m + 1 < count ? plans_[m + 1].first : total;
+      for (std::size_t w = plan.lo; w < plan.end; ++w) {
+        const float* row = nullptr;
+        if (d < d_end && dirty_[d] == w) {
+          row = wpre_.data() + d * nf_;
+          ++d;
+        } else {
+          ADVTEXT_DCHECK(w < preact_.rows()) << "clean window off the base";
+          row = preact_.row(w);
+        }
+        for (std::size_t f = 0; f < nf_; ++f) {
           pooled[f] = std::max(pooled[f], std::max(0.0f, row[f]));
         }
       }
-      model_.apply_mc_dropout(pooled, nf);
+      ADVTEXT_DCHECK(d == d_end) << "recomputed window outside [lo, end)";
+      model_.apply_mc_dropout(pooled, nf_);
     }
+    const std::size_t classes = model_.num_classes();
     proba_.resize(count * classes);
     model_.proba_from_pooled_batch(pooled_.data(), count, proba_.data());
     for (std::size_t m = 0; m < count; ++m) {
@@ -492,127 +544,24 @@ class WCnnSwapEvaluatorImpl : public SwapEvaluator {
     }
   }
 
-  void do_eval_tokens_batch(const TokenSeq* const* docs,
-                            const std::size_t* rows, std::size_t count,
-                            Matrix& out) override {
-    const auto& cfg = model_.config();
-    const std::size_t dim = cfg.embed_dim;
-    const std::size_t span = cfg.kernel * dim;
-    const std::size_t nf = cfg.num_filters;
-    const std::size_t nw = preact_.rows();
-    const std::size_t classes = model_.num_classes();
-    // Pass 1 (draws no RNG): collect each row's dirty windows and stack
-    // their patched contents for one gemm. Length-mismatched rows fall
-    // back to a full forward in pass 2.
-    win_start_.resize(count + 1);
-    dirty_list_.clear();
-    is_fallback_.assign(count, 0);
-    for (std::size_t m = 0; m < count; ++m) {
-      win_start_[m] = dirty_list_.size();
-      const TokenSeq& doc = *docs[m];
-      if (doc.size() != base_len_) {
-        is_fallback_[m] = 1;
-        continue;
-      }
-      for (std::size_t w = 0; w < nw; ++w) {
-        bool dirty = false;
-        for (std::size_t o = 0; o < cfg.kernel && w + o < doc.size(); ++o) {
-          if (doc[w + o] != padded_[w + o]) {
-            dirty = true;
-            break;
-          }
-        }
-        if (dirty) dirty_list_.push_back(w);
-      }
-    }
-    win_start_[count] = dirty_list_.size();
-    const std::size_t total = dirty_list_.size();
-    ensure_window_scratch(total, span, nf);
-    for (std::size_t m = 0; m < count; ++m) {
-      const TokenSeq& doc = *docs[m];
-      for (std::size_t k = win_start_[m]; k < win_start_[m + 1]; ++k) {
-        const std::size_t w = dirty_list_[k];
-        float* dst = wins_.row(k);
-        const float* src = embedded_.row(w);
-        std::copy(src, src + span, dst);
-        for (std::size_t o = 0; o < cfg.kernel && w + o < doc.size(); ++o) {
-          if (doc[w + o] == padded_[w + o]) continue;
-          const float* xt = model_.embedding().vector(doc[w + o]);
-          std::copy(xt, xt + dim, dst + o * dim);
-        }
-      }
-    }
-    if (total > 0) {
-      model_.window_preact_batch(wins_.data(), total, wpre_.data());
-    }
-    // Pass 2, in request order so MC-dropout draws match the sequential
-    // path: fallbacks run a full forward; cached rows pool from clean
-    // preacts plus the re-convolved dirty windows.
-    if (pooled_.rows() < count || pooled_.cols() != nf) {
-      pooled_ = Matrix(count, nf);
-    }
-    brow_out_.clear();
-    std::size_t bcount = 0;
-    for (std::size_t m = 0; m < count; ++m) {
-      if (is_fallback_[m]) {
-        const Vector proba = model_.predict_proba(*docs[m]);
-        std::copy(proba.begin(), proba.end(), out.row(rows[m]));
-        continue;
-      }
-      float* pooled = pooled_.row(bcount);
-      std::fill(pooled, pooled + nf, 0.0f);
-      std::size_t k = win_start_[m];
-      for (std::size_t w = 0; w < nw; ++w) {
-        const float* row = preact_.row(w);
-        if (k < win_start_[m + 1] && dirty_list_[k] == w) {
-          row = wpre_.row(k);
-          ++k;
-        }
-        for (std::size_t f = 0; f < nf; ++f) {
-          pooled[f] = std::max(pooled[f], std::max(0.0f, row[f]));
-        }
-      }
-      model_.apply_mc_dropout(pooled, nf);
-      brow_out_.push_back(rows[m]);
-      ++bcount;
-    }
-    if (bcount == 0) return;
-    proba_.resize(bcount * classes);
-    model_.proba_from_pooled_batch(pooled_.data(), bcount, proba_.data());
-    for (std::size_t b = 0; b < bcount; ++b) {
-      const float* src = proba_.data() + b * classes;
-      std::copy(src, src + classes, out.row(brow_out_[b]));
-    }
-  }
-
- private:
-  void ensure_window_scratch(std::size_t total, std::size_t span,
-                             std::size_t nf) {
-    if (wins_.rows() < total || wins_.cols() != span) {
-      wins_ = Matrix(total, span);
-    }
-    if (wpre_.rows() < total || wpre_.cols() != nf) {
-      wpre_ = Matrix(total, nf);
-    }
-  }
-
   const WCnn& model_;
-  std::size_t base_len_ = 0;
-  TokenSeq padded_;
-  Matrix embedded_;  // padded
-  Matrix preact_;    // windows x filters
+  const std::size_t kernel_;
+  const std::size_t dim_;
+  const std::size_t nf_;
+  PackedB filters_;
+  TokenSeq padded_;  // base, padded to the kernel
+  Matrix preact_;    // base windows x filters
   Matrix prefix_;    // (windows+1) x filters running max of ReLU'd maps
   Matrix suffix_;
 
   // Batch scratch, reused across rounds.
-  std::vector<std::size_t> win_start_;
-  std::vector<std::size_t> dirty_list_;
-  std::vector<char> is_fallback_;
-  std::vector<std::size_t> brow_out_;
-  Matrix wins_;    // stacked patched windows
-  Matrix wpre_;    // their re-convolved pre-activations
-  Matrix pooled_;
+  std::vector<RowPlan> plans_;
+  std::vector<std::size_t> dirty_;  // each row's recomputed windows, ascending
+  std::vector<float> wins_;         // their stacked contents
+  std::vector<float> wpre_;         // their pre-activations
+  std::vector<float> pooled_;
   Vector proba_;
+  Matrix one_row_;
 };
 
 }  // namespace

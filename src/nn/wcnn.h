@@ -3,10 +3,11 @@
 // max-over-time pooling -> dropout -> fully connected softmax output.
 //
 // Implements full manual backprop (for training and for the input-embedding
-// gradients the attacks need) and an O(kernel * F * D) incremental
-// SwapEvaluator: a single-word swap only touches the `kernel` windows
-// covering it, and the pooled layer is re-assembled from cached prefix /
-// suffix maxima, which is what makes the greedy attacks of Section 6 fast.
+// gradients the attacks need) and an incremental SwapEvaluator: a scored
+// row (a word swap, or a token sequence of any length) recomputes only the
+// windows between its common prefix and common suffix with the base, and
+// the pooled layer is re-assembled from cached prefix / suffix maxima,
+// which is what makes the greedy attacks of Section 6 fast.
 //
 // The paper runs the WCNN with 5% dropout *at inference* (§6.4, MC-dropout
 // as a Bayesian approximation); `mc_dropout` reproduces that.
@@ -78,11 +79,8 @@ class WCnn final : public TrainableClassifier {
   TokenSeq padded(const TokenSeq& tokens) const;
 
   /// Convolution pre-activations: one row per window, one column per filter.
+  /// One im2col + window_preact_batch over all windows.
   Matrix conv_preact(const Matrix& embedded) const;
-
-  /// Pre-activation of one window starting at row `win` for all filters.
-  void window_preact(const Matrix& embedded, std::size_t win,
-                     float* out) const;
 
   /// pooled[f] = max over windows of relu(preact). argmax optionally kept.
   Vector max_pool(const Matrix& preact,
@@ -95,15 +93,20 @@ class WCnn final : public TrainableClassifier {
   void apply_mc_dropout(Vector& pooled) const;
   void apply_mc_dropout(float* pooled, std::size_t n) const;
 
-  // Batched forward pieces. Each output element is the same dot+bias the
-  // scalar helpers compute, so batched == per-candidate bit-for-bit; the
-  // batched evaluator stacks every affected window of a whole candidate
-  // set into one gemm.
+  // Batched forward pieces. Each output element is one ascending-k dot
+  // (gemm_nt == dot bit for bit) plus the bias, so every path through them
+  // gives the same bits; the evaluator stacks every recomputed window of a
+  // whole candidate set into one gemm.
 
-  /// Re-convolves m stacked windows (m x kernel*D) into pre-activations
-  /// (m x F); row i equals window_preact on window i.
-  void window_preact_batch(const float* windows, std::size_t m,
-                           float* out) const;
+  /// Packs the filter bank for window_preact_batch. The evaluator packs
+  /// once at construction: weights are frozen while it lives.
+  void pack_filters(PackedB* out) const;
+
+  /// Convolves m stacked windows (m x kernel*D) into pre-activations
+  /// (m x F): out(i, f) = dot(filter f, window i) + bias f. `filters`, if
+  /// given, is this model's pack_filters() and skips the per-call repack.
+  void window_preact_batch(const float* windows, std::size_t m, float* out,
+                           const PackedB* filters = nullptr) const;
 
   /// Batched output head: probabilities for m pooled rows (m x F ->
   /// m x C); row i equals softmax(output_logits(pooled_i)).

@@ -8,9 +8,13 @@
 // state by design).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,14 +75,6 @@ std::vector<std::unique_ptr<TextClassifier>> all_models() {
 // of the kScoreChunkRows = 64 attack chunking (63-65, 80).
 constexpr std::size_t kBatchSizes[] = {1, 2, 3, 4, 5, 63, 64, 65, 80};
 
-// The recurrent evaluators' batched and sequential paths share their
-// prefix states, so for them the scalar step() loop of predict_proba is
-// the only independent reference.
-bool is_recurrent(const TextClassifier& model) {
-  return dynamic_cast<const LstmClassifier*>(&model) != nullptr ||
-         dynamic_cast<const GruClassifier*>(&model) != nullptr;
-}
-
 void expect_rows_equal(const Matrix& scores, std::size_t row,
                        const Vector& want, const char* what) {
   ASSERT_EQ(want.size(), scores.cols());
@@ -88,9 +84,46 @@ void expect_rows_equal(const Matrix& scores, std::size_t row,
   }
 }
 
-// eval_swap_batch == per-candidate eval_swap, float-for-float, for every
-// model family and on both the batched-gemm and (via the bench switch)
-// the sequential scoring path. No control bound: unlimited and uncached.
+// Distance in units in the last place between two finite floats of one
+// sign (class probabilities are positive).
+std::int64_t ulp_distance(float a, float b) {
+  std::int32_t ia = 0;
+  std::int32_t ib = 0;
+  std::memcpy(&ia, &a, sizeof(ia));
+  std::memcpy(&ib, &b, sizeof(ib));
+  return std::abs(static_cast<std::int64_t>(ia) - ib);
+}
+
+// The full forward is the reference for every family. Its contract is
+// exact, except for the BoW evaluator's swaps: they add one weight
+// difference to the base's logits, which rounds differently from
+// predict_proba's sum over all tokens. Those rows are held to a stated
+// bound in units in the last place instead (the largest distance seen on
+// these tests is 1).
+constexpr std::int64_t kBowSwapUlps = 4;
+
+std::int64_t swap_ulps(const TextClassifier& model) {
+  return dynamic_cast<const BowClassifier*>(&model) != nullptr ? kBowSwapUlps
+                                                               : 0;
+}
+
+void expect_rows_within(const Matrix& scores, std::size_t row,
+                        const Vector& want, std::int64_t ulps,
+                        const char* what) {
+  ASSERT_EQ(want.size(), scores.cols());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    EXPECT_LE(ulp_distance(scores(row, c), want[c]), ulps)
+        << what << " row " << row << " class " << c << ": " << scores(row, c)
+        << " vs " << want[c];
+  }
+}
+
+// eval_swap_batch == per-candidate eval_swap == predict_proba of the
+// swapped document, float-for-float, for every model family and on both
+// the batched-gemm and (via the bench switch) the sequential scoring path.
+// An evaluator's batched and sequential paths share its cached base
+// state, so the full forward is the only independent reference. No
+// control bound: unlimited and uncached.
 TEST(BatchedScoring, SwapBatchMatchesSequentialBitwise) {
   const TokenSeq base = sample_tokens(40, 7);
   for (const auto& model : all_models()) {
@@ -123,25 +156,23 @@ TEST(BatchedScoring, SwapBatchMatchesSequentialBitwise) {
             sequential->eval_swap(candidates[i].pos, candidates[i].word);
         expect_rows_equal(scores, i, row, "batched");
         expect_rows_equal(seed_scores, i, row, "seed-path");
-        if (is_recurrent(*model)) {
-          TokenSeq swapped = base;
-          swapped[candidates[i].pos] = candidates[i].word;
-          expect_rows_equal(scores, i, model->predict_proba(swapped),
-                            "batched vs predict_proba");
-        }
+        TokenSeq swapped = base;
+        swapped[candidates[i].pos] = candidates[i].word;
+        expect_rows_within(scores, i, model->predict_proba(swapped),
+                           swap_ulps(*model), "batched vs predict_proba");
       }
     }
   }
 }
 
-// A recurrent evaluator's cached prefix states, rebuilt on every rebase,
-// reproduce the full forward exactly: eval_tokens of the base, and every
-// swap scored from the rebuilt prefix, equal predict_proba bit for bit.
-// Covers a chain of committed swaps, first and last positions, and a
-// one-token document.
-TEST(BatchedScoring, RecurrentRebaseMatchesFullForward) {
+// An evaluator's cached base state (conv feature maps, prefix states,
+// bag counts), rebuilt on every rebase, reproduces the full forward:
+// eval_tokens of the base, and every swap scored from the rebuilt state,
+// equal predict_proba bit for bit (BoW swaps within kBowSwapUlps). Covers
+// a chain of committed swaps, first and last positions, and a one-token
+// document.
+TEST(BatchedScoring, RebaseMatchesFullForward) {
   for (const auto& model : all_models()) {
-    if (!is_recurrent(*model)) continue;
     TokenSeq base = sample_tokens(33, 19);
     auto evaluator = model->make_swap_evaluator(base);
     const std::size_t commits[] = {0, 32, 16, 5};
@@ -158,8 +189,8 @@ TEST(BatchedScoring, RecurrentRebaseMatchesFullForward) {
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         TokenSeq swapped = base;
         swapped[candidates[i].pos] = candidates[i].word;
-        expect_rows_equal(scores, i, model->predict_proba(swapped),
-                          "post-rebase swap");
+        expect_rows_within(scores, i, model->predict_proba(swapped),
+                           swap_ulps(*model), "post-rebase swap");
       }
     }
     const TokenSeq single = {4};
@@ -190,6 +221,134 @@ TEST(BatchedScoring, TokensBatchMatchesSequentialBitwise) {
                           "batched");
       }
     }
+  }
+}
+
+// Rows a few edits away from `base`, the shapes the attacks score: the
+// sentence phase's paraphrases keep a long common prefix and suffix with
+// the document. Same length with one or two changes at the first, middle
+// and last positions; one token dropped or inserted there; a span rotated
+// by one (a word-order paraphrase) and a sentence-length span rewritten;
+// the base itself, a longer document, and rows shorter than the WCNN
+// kernel (3).
+std::vector<TokenSeq> near_copies(const TokenSeq& base) {
+  const std::size_t n = base.size();
+  const std::size_t mid = n / 2;
+  const auto other = [](WordId w) {
+    return static_cast<WordId>(w == 7 ? 9 : 7);
+  };
+  std::vector<TokenSeq> rows = {base};
+  for (const std::size_t pos : {std::size_t{0}, mid, n - 1}) {
+    TokenSeq changed = base;
+    changed[pos] = other(changed[pos]);
+    rows.push_back(changed);
+    TokenSeq dropped = base;
+    dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(pos));
+    rows.push_back(dropped);
+  }
+  for (const std::size_t pos : {std::size_t{0}, mid, n}) {
+    TokenSeq inserted = base;
+    inserted.insert(inserted.begin() + static_cast<std::ptrdiff_t>(pos), 5);
+    rows.push_back(inserted);
+  }
+  const std::pair<std::size_t, std::size_t> pairs[] = {
+      {0, n - 1}, {mid, std::min(mid + 1, n - 1)}, {1 % n, mid}};
+  for (const auto& [p, q] : pairs) {
+    TokenSeq changed = base;
+    changed[p] = other(changed[p]);
+    changed[q] = other(changed[q]);
+    rows.push_back(changed);
+  }
+  // A sentence-sized span from a quarter in: rotated by one, and replaced
+  // by fresh words (some of which may equal the base's by chance).
+  const std::size_t span_lo = n / 4;
+  const std::size_t span_hi = std::min(n, span_lo + 11);
+  TokenSeq rotated = base;
+  std::rotate(rotated.begin() + static_cast<std::ptrdiff_t>(span_lo),
+              rotated.begin() + static_cast<std::ptrdiff_t>(span_lo) + 1,
+              rotated.begin() + static_cast<std::ptrdiff_t>(span_hi));
+  rows.push_back(rotated);
+  TokenSeq rewritten = base;
+  const TokenSeq fresh = sample_tokens(span_hi - span_lo, 211);
+  std::copy(fresh.begin(), fresh.end(),
+            rewritten.begin() + static_cast<std::ptrdiff_t>(span_lo));
+  rows.push_back(rewritten);
+  TokenSeq longer = base;
+  const TokenSeq tail = sample_tokens(9, 223);
+  longer.insert(longer.end(), tail.begin(), tail.end());
+  rows.push_back(longer);
+  rows.push_back(sample_tokens(n + 17, 227));
+  rows.push_back({base[0]});
+  rows.push_back({base[0], other(base[n - 1])});
+  return rows;
+}
+
+// The cached tokens path on the rows the attacks actually score: every row
+// of every batch equals predict_proba of that row, float for float, for
+// every family, against a 40-token base and a base shorter than the WCNN
+// kernel, at batch sizes on both sides of the gemm's 4-row block and the
+// 64-row chunk. Near-copies are the rows whose windows the WCNN evaluator
+// takes from the base's cached maps, so an off-by-one prefix or suffix
+// offset changes them and only them.
+TEST(BatchedScoring, TokensBatchNearCopiesMatchFullForward) {
+  for (const auto& model : all_models()) {
+    for (const TokenSeq& base : {sample_tokens(40, 23), sample_tokens(2, 29)}) {
+      const std::vector<TokenSeq> rows = near_copies(base);
+      auto evaluator = model->make_swap_evaluator(base);
+      for (const std::size_t batch : {1, 5, 64, 65}) {
+        SCOPED_TRACE(testing::Message()
+                     << "classes=" << model->num_classes()
+                     << " base=" << base.size() << " batch=" << batch);
+        for (std::size_t first = 0; first < rows.size(); first += batch) {
+          std::vector<TokenSeq> docs;
+          for (std::size_t i = 0; i < batch; ++i) {
+            docs.push_back(rows[(first + i) % rows.size()]);
+          }
+          Matrix scores;
+          const BatchStatus status = evaluator->eval_tokens_batch(docs, scores);
+          ASSERT_EQ(status.evaluated, batch);
+          for (std::size_t i = 0; i < batch; ++i) {
+            expect_rows_equal(scores, i, model->predict_proba(docs[i]),
+                              "near-copy vs predict_proba");
+          }
+        }
+      }
+    }
+  }
+}
+
+// MC dropout draws num_filters values per scored row, in request order,
+// whichever path the row takes. Two same-seeded models stay in lockstep:
+// one scores a mixed batch (same-length, shorter, longer and sub-kernel
+// rows, then swaps) through its evaluator, the other calls predict_proba
+// row by row, and every row is identical.
+TEST(BatchedScoring, WCnnMcDropoutBatchMatchesFullForwardStream) {
+  WCnnConfig config;
+  config.embed_dim = task().config.embedding_dim;
+  config.num_filters = 24;
+  config.mc_dropout = 0.05f;
+  config.seed = 31;
+  const WCnn batched(config, Matrix(task().paragram));
+  const WCnn reference(config, Matrix(task().paragram));
+  const TokenSeq base = sample_tokens(40, 37);
+  auto evaluator = batched.make_swap_evaluator(base);
+
+  const std::vector<TokenSeq> docs = near_copies(base);
+  Matrix scores;
+  ASSERT_EQ(evaluator->eval_tokens_batch(docs, scores).evaluated,
+            docs.size());
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    expect_rows_equal(scores, i, reference.predict_proba(docs[i]),
+                      "mc-dropout tokens row");
+  }
+  const std::vector<SwapCandidate> swaps = {{0, 9}, {17, 4}, {39, 12}};
+  ASSERT_EQ(evaluator->eval_swap_batch(swaps, scores).evaluated,
+            swaps.size());
+  for (std::size_t i = 0; i < swaps.size(); ++i) {
+    TokenSeq swapped = base;
+    swapped[swaps[i].pos] = swaps[i].word;
+    expect_rows_equal(scores, i, reference.predict_proba(swapped),
+                      "mc-dropout swap row");
   }
 }
 

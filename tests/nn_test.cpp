@@ -116,12 +116,8 @@ TEST(WCnn, SwapEvaluatorMatchesFullForward) {
       TokenSeq swapped = base;
       swapped[pos] = cand;
       const Vector expected = model.predict_proba(swapped);
-      const Vector got = evaluator->eval_swap(pos, cand);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t c = 0; c < got.size(); ++c) {
-        EXPECT_NEAR(got[c], expected[c], 1e-5)
-            << "pos " << pos << " cand " << cand;
-      }
+      EXPECT_EQ(evaluator->eval_swap(pos, cand), expected)
+          << "pos " << pos << " cand " << cand;
     }
   }
   EXPECT_GT(evaluator->queries(), 0u);
@@ -138,11 +134,7 @@ TEST(WCnn, SwapEvaluatorMultiPositionMatchesFullForward) {
   multi[1] = 18;
   multi[4] = 6;
   multi[7] = 15;
-  const Vector expected = model.predict_proba(multi);
-  const Vector got = evaluator->eval_tokens(multi);
-  for (std::size_t c = 0; c < got.size(); ++c) {
-    EXPECT_NEAR(got[c], expected[c], 1e-5);
-  }
+  EXPECT_EQ(evaluator->eval_tokens(multi), model.predict_proba(multi));
 }
 
 TEST(WCnn, SwapEvaluatorRebaseTracksNewDocument) {
@@ -155,9 +147,7 @@ TEST(WCnn, SwapEvaluatorRebaseTracksNewDocument) {
   evaluator->rebase(base);
   TokenSeq swapped = base;
   swapped[0] = 9;
-  const Vector expected = model.predict_proba(swapped);
-  const Vector got = evaluator->eval_swap(0, 9);
-  EXPECT_NEAR(got[0], expected[0], 1e-5);
+  EXPECT_EQ(evaluator->eval_swap(0, 9), model.predict_proba(swapped));
 }
 
 TEST(Lstm, PredictProbaIsDistribution) {

@@ -147,6 +147,9 @@ TEST(FaultInjector, NanModePoisonsValuesOnly) {
 }
 
 TEST(TransportExact, IterationCapThrowsLimitError) {
+  // The solver's limits are under test, not its injection site: an ambient
+  // ADVTEXT_INJECT fault at transport.exact would throw first.
+  InjectorGuard guard;
   Rng rng(5);
   Matrix cost(4, 4);
   for (std::size_t i = 0; i < 4; ++i) {
