@@ -193,18 +193,9 @@ inline const char* scoring_mode() {
   return env != nullptr && std::string(env) == "seed" ? "seed" : "batched";
 }
 
-/// Applies the scoring-path knobs to an attack config: flips the global
-/// sequential-scoring switch from ADVTEXT_BENCH_SCORING and sizes the
-/// per-worker query cache from ADVTEXT_BENCH_QUERY_CACHE_MB (default 32
-/// on the batched path, 0 — fully seed-equivalent — on the seed path).
-inline void configure_scoring(AttackEvalConfig& config) {
-  const bool seed_path = std::string(scoring_mode()) == "seed";
-  set_sequential_scoring(seed_path);
-  std::size_t cache_mb = seed_path ? 0 : 32;
-  if (const char* env = std::getenv("ADVTEXT_BENCH_QUERY_CACHE_MB")) {
-    cache_mb = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-  }
-  config.query_cache_bytes = cache_mb * (std::size_t{1} << 20);
+/// Flips the global sequential-scoring switch from ADVTEXT_BENCH_SCORING.
+inline void configure_scoring() {
+  set_sequential_scoring(std::string(scoring_mode()) == "seed");
 }
 
 /// Ordered parallel map: computes fn(worker, index) for every index in
@@ -267,22 +258,21 @@ struct BenchJsonRecord {
   double wall_seconds = 0.0;      ///< whole-sweep wall clock
   double seconds_per_doc = 0.0;   ///< mean per attacked doc
   double success_rate = 0.0;
-  /// Query-cache totals of the sweep (zeros with the cache disabled) and
-  /// the scoring path the row was measured on ("batched" or "seed").
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::size_t queries_saved = 0;
+  /// Classifier queries of the sweep's attacks, summed over documents,
+  /// and the scoring path the row was measured on ("batched" or "seed").
+  std::size_t queries = 0;
   std::string scoring = "batched";
 };
 
-/// Copies a sweep's cache counters and the active scoring-path label into
-/// a JSON row (every attack-sweep row should carry them so the batched
-/// and seed measurements are distinguishable inside one artifact).
+/// Copies a sweep's query total and the active scoring-path label into a
+/// JSON row (every attack-sweep row should carry them so the batched and
+/// seed measurements are distinguishable inside one artifact).
 inline void fill_scoring_stats(BenchJsonRecord& record,
                                const AttackEvalResult& result) {
-  record.cache_hits = result.cache_hits;
-  record.cache_misses = result.cache_misses;
-  record.queries_saved = result.queries_saved;
+  record.queries = 0;
+  for (const JointAttackResult& attack : result.attacks) {
+    record.queries += attack.queries;
+  }
   record.scoring = scoring_mode();
 }
 
@@ -306,14 +296,12 @@ inline void append_bench_json(const BenchJsonRecord& record) {
       out,
       "{\"bench\":\"%s\",\"config\":\"%s\",\"threads\":%zu,\"shards\":%zu,"
       "\"docs\":%zu,\"wall_seconds\":%.6f,\"seconds_per_doc\":%.6f,"
-      "\"success_rate\":%.4f,\"cache_hits\":%zu,\"cache_misses\":%zu,"
-      "\"queries_saved\":%zu,\"scoring\":\"%s\","
+      "\"success_rate\":%.4f,\"queries\":%zu,\"scoring\":\"%s\","
       "\"hardware_threads\":%zu}\n",
       record.bench.c_str(), record.config.c_str(), record.threads,
       record.shards, record.docs, finite(record.wall_seconds),
       finite(record.seconds_per_doc), finite(record.success_rate),
-      record.cache_hits, record.cache_misses, record.queries_saved,
-      record.scoring.c_str(), hardware_threads());
+      record.queries, record.scoring.c_str(), hardware_threads());
   std::fclose(out);
 }
 

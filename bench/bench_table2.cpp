@@ -47,6 +47,7 @@ int main() {
       "Table 2: classifier accuracy, clean vs adversarial "
       "(ours: joint, lw=20%; [19]*: word-only greedy, lw=50%)");
   const std::size_t docs = docs_per_config(30);
+  configure_scoring();
 
   TablePrinter table({"Dataset", "Model", "Origin", "ADV(ours)", "ADV[19]*",
                       "paper:Origin", "paper:ours", "paper:[19]*"},
@@ -69,7 +70,6 @@ int main() {
       ours.joint.word_fraction = 0.2;
       ours.joint.word_method = WordAttackMethod::kGradientGuidedGreedy;
       configure_attack_parallelism(ours, model_kind, task, *model);
-      configure_scoring(ours);
       Stopwatch ours_watch;
       const AttackEvalResult ours_result =
           evaluate_attack(*model, task, context, ours);
@@ -90,7 +90,6 @@ int main() {
       kuleshov.joint.word_fraction = 0.5;
       kuleshov.joint.word_method = WordAttackMethod::kObjectiveGreedy;
       configure_attack_parallelism(kuleshov, model_kind, task, *model);
-      configure_scoring(kuleshov);
       Stopwatch kuleshov_watch;
       const AttackEvalResult kuleshov_result =
           evaluate_attack(*model, task, context, kuleshov);

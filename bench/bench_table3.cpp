@@ -32,10 +32,9 @@ using namespace advtext::bench;
 struct MethodStats {
   double success_rate = 0.0;
   double seconds = 0.0;
-  double queries = 0.0;
+  double queries = 0.0;  ///< per attacked document
   std::size_t attacked = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
+  std::size_t total_queries = 0;
 };
 
 // The attacker queries the stochastic (MC-dropout) model, but success is
@@ -81,9 +80,7 @@ MethodStats run_method(WCnn& model, const SynthTask& task,
   struct DocOutcome {
     bool flipped = false;
     double seconds = 0.0;
-    double queries = 0.0;
-    std::size_t cache_hits = 0;
-    std::size_t cache_misses = 0;
+    std::size_t queries = 0;
   };
   const std::vector<DocOutcome> outcomes = parallel_index_map<DocOutcome>(
       eligible.size(), workers,
@@ -118,9 +115,7 @@ MethodStats run_method(WCnn& model, const SynthTask& task,
         outcome.flipped = worker_model.predict(result.adv_tokens) != label;
         worker_model.set_mc_dropout(mc_dropout);
         outcome.seconds = result.seconds;
-        outcome.queries = static_cast<double>(result.queries);
-        outcome.cache_hits = result.cache_hits;
-        outcome.cache_misses = result.cache_misses;
+        outcome.queries = result.queries;
         return outcome;
       });
 
@@ -129,18 +124,15 @@ MethodStats run_method(WCnn& model, const SynthTask& task,
   if (!outcomes.empty()) {
     std::size_t flipped = 0;
     double seconds = 0.0;
-    double queries = 0.0;
     for (const DocOutcome& outcome : outcomes) {
       if (outcome.flipped) ++flipped;
       seconds += outcome.seconds;
-      queries += outcome.queries;
-      stats.cache_hits += outcome.cache_hits;
-      stats.cache_misses += outcome.cache_misses;
+      stats.total_queries += outcome.queries;
     }
     const double attacked = static_cast<double>(outcomes.size());
     stats.success_rate = static_cast<double>(flipped) / attacked;
     stats.seconds = seconds / attacked;
-    stats.queries = queries / attacked;
+    stats.queries = static_cast<double>(stats.total_queries) / attacked;
   }
   return stats;
 }
@@ -178,9 +170,7 @@ constexpr PaperCell kPaperCells[] = {
 
 int main() {
   const std::size_t docs = docs_per_config(30);
-  // This bench drives the word attacks directly (no AttackEvalConfig), so
-  // only the scoring-path switch applies; there is no query cache here.
-  set_sequential_scoring(std::string(scoring_mode()) == "seed");
+  configure_scoring();
   // Two blocks: the paper runs this comparison with 5% MC dropout at
   // inference (§6.4). On our scaled substrate that noise level swamps the
   // per-swap gains of *every* function-evaluation attack (the paper's
@@ -215,9 +205,7 @@ int main() {
                   ",mc=" + format_percent(static_cast<double>(mc), 0),
               attack_threads(), 1, stats.attacked, watch.elapsed_seconds(),
               stats.seconds, stats.success_rate};
-          row.cache_hits = stats.cache_hits;
-          row.cache_misses = stats.cache_misses;
-          row.queries_saved = stats.cache_hits;
+          row.queries = stats.total_queries;
           row.scoring = scoring_mode();
           append_bench_json(row);
           const PaperCell* paper = nullptr;

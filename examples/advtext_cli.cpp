@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/core/joint_attack.h"
 #include "src/data/synthetic.h"
@@ -51,6 +52,17 @@ constexpr int kExitStopped = 5;
 // an escaped exception came from.
 const char* g_phase = "startup";
 
+// Every flag any command reads; anything else is a usage error, so a
+// misspelt limit cannot silently run unlimited.
+const std::vector<std::string> kFlags = {
+    "attack-threads", "checkpoint", "checkpoint-every", "dataset",
+    "deadline-ms", "docs", "epochs", "filters", "hidden", "inject", "lr",
+    "ls", "lw", "max-queries", "max-rollbacks", "mem-budget-mb", "method",
+    "model", "out", "params", "records-out", "resume",
+    "resume-fallback-fresh", "seed", "shards", "show", "snapshot",
+    "snapshot-every", "sweep-deadline-ms", "sweep-max-queries", "task",
+    "train-resume"};
+
 int usage() {
   std::printf(
       "usage: advtext_cli <command> [flags]\n"
@@ -67,7 +79,7 @@ int usage() {
       "           [--resume-fallback-fresh] [--inject SPEC]\n"
       "           [--attack-threads K] [--sweep-max-queries N]\n"
       "           [--sweep-deadline-ms X] [--records-out FILE]\n"
-      "           [--mem-budget-mb N] [--query-cache-mb N]\n"
+      "           [--mem-budget-mb N]\n"
       "  --records-out: write the committed per-doc records (wire encoding,\n"
       "                 timing excluded) to FILE — bitwise-comparable across\n"
       "                 resumed / parallel / recovered runs of one sweep\n"
@@ -75,9 +87,6 @@ int usage() {
       "                 checkpoint is unreadable instead of failing\n"
       "  --mem-budget-mb: process memory budget (0 = unlimited); exhaustion\n"
       "                 degrades (fewer workers, smaller candidate sets)\n"
-      "  --query-cache-mb: per-worker memoizing query cache (default 32;\n"
-      "                 0 disables). Identical results; repeated model\n"
-      "                 states cost a hash lookup instead of a forward\n"
       "exit codes: 0 ok, 1 error, 2 usage, 3 deadline/budget-limited docs,\n"
       "            4 failed docs, 5 stopped by signal (state flushed;\n"
       "            rerun with --train-resume / --resume)\n");
@@ -254,9 +263,6 @@ int cmd_attack(const ArgParser& args) {
     MemoryBudget::instance().set_limit_bytes(mem_budget_mb * (std::size_t{1}
                                                               << 20));
   }
-  config.query_cache_bytes =
-      static_cast<std::size_t>(args.get_int("query-cache-mb", 32)) *
-      (std::size_t{1} << 20);
   // Timing-free record dump: every committed record in wire encoding
   // (attack.seconds excluded), published atomically at the end. The chaos
   // harness compares these bitwise across clean / faulted / resumed runs.
@@ -315,11 +321,6 @@ int cmd_attack(const ArgParser& args) {
       result.success_rate, result.mean_words_changed,
       result.mean_sentences_changed, result.mean_queries,
       result.mean_seconds_per_doc);
-  if (result.cache_hits + result.cache_misses > 0) {
-    std::printf("query cache: %zu hits, %zu misses, %zu queries saved\n",
-                result.cache_hits, result.cache_misses,
-                result.queries_saved);
-  }
   if (result.docs_deadline + result.docs_budget + result.docs_failed +
           result.docs_retried + result.wmd_degradations.total() >
       0) {
@@ -370,6 +371,12 @@ int cmd_attack(const ArgParser& args) {
 int main(int argc, char** argv) {
   try {
     const ArgParser args(argc, argv);
+    const std::vector<std::string> unknown = args.unknown_flags(kFlags);
+    if (!unknown.empty()) {
+      std::fprintf(stderr, "advtext_cli: unknown flag --%s\n",
+                   unknown.front().c_str());
+      return usage();
+    }
     if (args.positional().empty()) return usage();
     if (args.has("inject")) {
       FaultInjector::instance().configure(args.get_string("inject"));

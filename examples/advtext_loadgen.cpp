@@ -41,6 +41,11 @@ int usage() {
   return 2;
 }
 
+// Every flag main() reads; anything else is a usage error.
+const std::vector<std::string> kFlags = {
+    "clients", "deadline-ms", "docs", "job-deadline-ms", "job-max-queries",
+    "jobs", "json", "max-queries", "model", "read-timeout-ms", "socket"};
+
 /// One job's fate, written only by its own client thread (preallocated
 /// slot: no shared mutation, no lock).
 struct JobOutcome {
@@ -72,6 +77,12 @@ struct ClientTally {
 
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
+  const std::vector<std::string> unknown = args.unknown_flags(kFlags);
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "advtext_loadgen: unknown flag --%s\n",
+                 unknown.front().c_str());
+    return usage();
+  }
   const std::string socket_path = args.get_string("socket");
   if (socket_path.empty()) return usage();
   const std::size_t clients =

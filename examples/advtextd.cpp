@@ -42,6 +42,13 @@ constexpr int kExitError = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitStopped = 5;
 
+// Every flag run() reads; anything else is a usage error.
+const std::vector<std::string> kFlags = {
+    "checkpoint-every", "client-max-queries", "filters", "hidden", "inject",
+    "max-job-deadline-ms", "max-jobs", "max-pending", "mem-budget-mb",
+    "model", "params", "read-timeout-ms", "recover-only", "socket",
+    "state-dir", "task", "watchdog-ms", "workers"};
+
 int usage() {
   std::printf(
       "usage: advtextd --task FILE --model wcnn|lstm|gru|bow --params FILE\n"
@@ -51,16 +58,13 @@ int usage() {
       "                [--checkpoint-every N] [--read-timeout-ms X]\n"
       "                [--max-jobs N] [--recover-only] [--inject SPEC]\n"
       "                [--watchdog-ms X] [--mem-budget-mb N]\n"
-      "                [--query-cache-mb N] [--hidden N] [--filters N]\n"
+      "                [--hidden N] [--filters N]\n"
       "--watchdog-ms: stall bound for the job watchdog (default 30000;\n"
       "               0 disables). A stuck job's client gets a typed\n"
       "               deadline-exceeded completion within the bound.\n"
       "--mem-budget-mb: process memory budget (default 0 = unlimited).\n"
       "               Exhaustion sheds jobs with typed 'resource'\n"
       "               rejections instead of aborting on OOM.\n"
-      "--query-cache-mb: per-job memoizing query cache (default 32;\n"
-      "               0 disables). Served sweeps return identical results;\n"
-      "               repeated model states skip the forward pass.\n"
       "exit codes: 0 ok, 1 error, 2 usage, 5 stopped by signal\n"
       "            (accepted jobs resume on restart with the same "
       "--state-dir)\n");
@@ -98,6 +102,12 @@ std::unique_ptr<TrainableClassifier> build_model(const std::string& kind,
 }
 
 int run(const ArgParser& args) {
+  const std::vector<std::string> unknown = args.unknown_flags(kFlags);
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "advtextd: unknown flag --%s\n",
+                 unknown.front().c_str());
+    return usage();
+  }
   const std::string task_path = args.get_string("task");
   const std::string params = args.get_string("params");
   const std::string socket_path = args.get_string("socket");
@@ -141,9 +151,6 @@ int run(const ArgParser& args) {
     MemoryBudget::instance().set_limit_bytes(mem_budget_mb * (std::size_t{1}
                                                               << 20));
   }
-  config.query_cache_bytes =
-      static_cast<std::size_t>(args.get_int("query-cache-mb", 32)) *
-      (std::size_t{1} << 20);
 
   StopToken::instance().install();
   AttackDaemon daemon(task, context,
@@ -167,13 +174,14 @@ int run(const ArgParser& args) {
       "advtextd: %zu accepted, %zu completed, %zu recovered, %zu errored, "
       "%zu stalled; rejected %zu overload / %zu budget / %zu unknown-model "
       "/ %zu malformed / %zu resource; %zu io retries, %zu stream write "
-      "failures, %zu mem denials, worst job %s [%s]\n",
+      "failures, %zu mem denials, %zu warnings dropped, worst job %s [%s]\n",
       stats.jobs_accepted, stats.jobs_completed, stats.jobs_recovered,
       stats.jobs_errored, stats.jobs_stalled, stats.rejected_overload,
       stats.rejected_budget, stats.rejected_unknown_model,
       stats.rejected_malformed, stats.rejected_resource, stats.io_retries,
       stats.stream_write_failures, MemoryBudget::instance().denials(),
-      to_string(stats.worst_job), to_string(termination));
+      stats.warnings_dropped, to_string(stats.worst_job),
+      to_string(termination));
   for (const std::string& warning : stats.warnings) {
     std::fprintf(stderr, "advtextd warning: %s\n", warning.c_str());
   }

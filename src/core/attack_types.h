@@ -11,8 +11,9 @@ namespace advtext {
 
 /// Rows per eval_swap_batch / eval_tokens_batch call in the attack loops.
 /// Bounds how much work happens between deadline polls (the shell checks
-/// per row in phase A, but phase B computes a whole chunk), keeping the
-/// watchdog and chaos-campaign latency guarantees intact.
+/// per row before admitting it, then computes the admitted rows in one
+/// call), keeping the watchdog and chaos-campaign latency guarantees
+/// intact.
 inline constexpr std::size_t kScoreChunkRows = 64;
 
 /// Result of a word-level attack on a flat token sequence. Attacks always
@@ -25,8 +26,6 @@ struct WordAttackResult {
   double final_target_proba = 0.0;
   std::size_t words_changed = 0;   ///< positions differing from original
   std::size_t queries = 0;         ///< classifier forward evaluations
-  std::size_t cache_hits = 0;      ///< queries served by the query cache
-  std::size_t cache_misses = 0;    ///< queries actually computed
   std::size_t budget_charged = 0;  ///< queries charged to the QueryBudget
   std::size_t gradient_calls = 0;  ///< input-gradient computations
   std::size_t iterations = 0;
@@ -41,8 +40,6 @@ struct SentenceAttackResult {
   double final_target_proba = 0.0;
   std::size_t sentences_changed = 0;
   std::size_t queries = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
   std::size_t budget_charged = 0;
   double seconds = 0.0;
   Document adv_doc;
@@ -58,8 +55,6 @@ struct JointAttackResult {
   std::size_t sentences_changed = 0;
   std::size_t words_changed = 0;
   std::size_t queries = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
   std::size_t budget_charged = 0;
   double seconds = 0.0;
   Document adv_doc;

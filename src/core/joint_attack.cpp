@@ -23,7 +23,6 @@ JointAttackResult joint_attack(const TextClassifier& model,
     control.deadline = Deadline::after_ms(config.deadline_ms);
   }
   control.budget = &budget;
-  control.cache = resources.query_cache;
   // Every query charge flows through `budget`; the phases report what they
   // charged, so the shared pool must reconcile exactly at every exit.
   const auto reconcile = [&budget](const JointAttackResult& r) {
@@ -49,8 +48,6 @@ JointAttackResult joint_attack(const TextClassifier& model,
     result.adv_doc = sentence_result.adv_doc;
     result.sentences_changed = sentence_result.sentences_changed;
     result.queries += sentence_result.queries;
-    result.cache_hits += sentence_result.cache_hits;
-    result.cache_misses += sentence_result.cache_misses;
     result.budget_charged += sentence_result.budget_charged;
     result.final_target_proba = sentence_result.final_target_proba;
     result.termination =
@@ -142,8 +139,6 @@ JointAttackResult joint_attack(const TextClassifier& model,
       }
       result.words_changed = word_result.words_changed;
       result.queries += word_result.queries;
-      result.cache_hits += word_result.cache_hits;
-      result.cache_misses += word_result.cache_misses;
       result.budget_charged += word_result.budget_charged;
       result.final_target_proba = word_result.final_target_proba;
       result.success = word_result.success;

@@ -52,18 +52,12 @@ struct JointAttackConfig {
 };
 
 /// Per-task attack resources, built once and shared across all attacked
-/// documents. All members but the cache are immutable; the cache is
-/// mutated by the evaluator shell and must therefore not be shared across
-/// concurrently attacking workers (the pipeline owns one per worker).
+/// documents.
 struct AttackResources {
   const ParaphraseIndex* word_index = nullptr;       ///< W_i source
   const SentenceParaphraser* paraphraser = nullptr;  ///< S_i source
   const Wmd* wmd = nullptr;                          ///< δs filter
   const NGramLm* lm = nullptr;  ///< syntactic filter; may be null
-  /// Optional memoizing query cache shared by both phases (a sentence
-  /// paraphrase and a later word swap that produce the same token stream
-  /// hit the same entry). May be null (uncached).
-  QueryCache* query_cache = nullptr;
 };
 
 JointAttackResult joint_attack(const TextClassifier& model,

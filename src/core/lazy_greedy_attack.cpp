@@ -93,8 +93,6 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
   }
 
   result.queries = evaluator->queries();
-  result.cache_hits = evaluator->cache_hits();
-  result.cache_misses = evaluator->cache_misses();
   result.budget_charged = evaluator->budget_charged();
   result.final_target_proba =
       model.class_probability(result.adv_tokens, target);

@@ -23,8 +23,8 @@ WordAttackResult objective_greedy_attack(const TextClassifier& model,
 
   auto evaluator = model.make_swap_evaluator(result.adv_tokens);
   // The evaluator shell owns all query accounting from here on: it polls
-  // the deadline per candidate, charges the QueryBudget once per cache
-  // miss, and serves repeats from the bound cache.
+  // the deadline per candidate and charges the QueryBudget once per
+  // evaluated row.
   evaluator->bind_control(&control);
   double current = model.class_probability(result.adv_tokens, target);
   control.charge(1);
@@ -88,12 +88,7 @@ WordAttackResult objective_greedy_attack(const TextClassifier& model,
     result.termination = TerminationReason::kBudgetExhausted;
   }
   result.queries = evaluator->queries();
-  result.cache_hits = evaluator->cache_hits();
-  result.cache_misses = evaluator->cache_misses();
   result.budget_charged = evaluator->budget_charged();
-  ADVTEXT_DCHECK(result.queries == result.cache_hits + result.cache_misses)
-      << "objective_greedy: query accounting drift (" << result.queries
-      << " != " << result.cache_hits << " + " << result.cache_misses << ")";
   result.final_target_proba =
       model.class_probability(result.adv_tokens, target);
   control.charge(1);

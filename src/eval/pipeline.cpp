@@ -13,7 +13,6 @@
 #include "src/text/serialize.h"
 #include "src/util/io_file.h"
 #include "src/util/serialize.h"
-#include "src/util/query_cache.h"
 #include "src/util/stop_token.h"
 #include "src/util/sync.h"
 
@@ -256,14 +255,6 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
                    TerminationReason::kBudgetExhausted) {
           ++result.docs_budget;
         }
-        // Cache counters are in-memory diagnostics (zero on replayed
-        // records); every counted query is either a hit or a miss or one
-        // of the attacks' explicit uncached forwards.
-        ADVTEXT_DCHECK(attack.cache_hits + attack.cache_misses <=
-                       attack.queries)
-            << "pipeline: cache counters exceed the attack's query count";
-        result.cache_hits += attack.cache_hits;
-        result.cache_misses += attack.cache_misses;
         if (r.flipped != 0) {
           ++flipped;
         } else {
@@ -335,21 +326,9 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
   const auto process_doc = [&](std::size_t doc_index,
                                const TextClassifier& worker_model,
                                const AttackResources& worker_resources,
-                               const Wmd& worker_wmd,
-                               QueryCache* worker_cache) -> DocRecord {
+                               const Wmd& worker_wmd) -> DocRecord {
     const Document& doc = task.test.docs[doc_index];
     FaultScope scope("doc" + std::to_string(doc_index));
-    // Fresh cache per document: warmth never leaks across documents, so
-    // budget-limited results are independent of document scheduling
-    // (serial == parallel at any worker count). A relaxed deadline-retry
-    // of the *same* document deliberately keeps the warm cache — the
-    // retry replays the same sweeps and the entries are bit-identical to
-    // recomputation.
-    if (worker_cache != nullptr) worker_cache->clear();
-    AttackResources doc_resources = worker_resources;
-    doc_resources.query_cache =
-        worker_cache != nullptr && worker_cache->enabled() ? worker_cache
-                                                           : nullptr;
     DocRecord record;
     record.doc_index = doc_index;
     const std::size_t true_label = static_cast<std::size_t>(doc.label);
@@ -359,7 +338,7 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
       const std::size_t target = 1 - true_label;
       const WmdDegradation before = worker_wmd.degradation();
       Outcome<JointAttackResult> outcome = run_attack_isolated(
-          worker_model, doc, target, doc_resources, config.joint);
+          worker_model, doc, target, worker_resources, config.joint);
       if (config.retry_relaxed && config.joint.deadline_ms > 0.0 &&
           outcome.ok() &&
           outcome.value().termination ==
@@ -369,7 +348,7 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
         relaxed.deadline_ms = config.joint.deadline_ms * 4.0;
         relaxed.enable_sentence = false;
         Outcome<JointAttackResult> second = run_attack_isolated(
-            worker_model, doc, target, doc_resources, relaxed);
+            worker_model, doc, target, worker_resources, relaxed);
         record.retried = 1;
         if (second.ok()) outcome = std::move(second);
       }
@@ -407,9 +386,6 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
 
   if (config.threads <= 1) {
     // ---- Serial sweep (the original path) --------------------------------
-    // One cache for the single worker; cleared per document inside
-    // process_doc. Constructing with 0 yields a disabled cache.
-    QueryCache cache(config.query_cache_bytes);
     for (std::size_t doc_index = resume_from;
          doc_index < task.test.docs.size(); ++doc_index) {
       if (result.docs_evaluated >= attack_budget) break;
@@ -430,7 +406,7 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
         break;
       }
       DocRecord record =
-          process_doc(doc_index, model, resources, context.wmd(), &cache);
+          process_doc(doc_index, model, resources, context.wmd());
       // Post-hoc accounting: the doc already ran, so only the clamped total
       // matters, not the grant.
       (void)sweep_budget.charge_up_to(record_query_cost(record));
@@ -495,16 +471,6 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
       for (std::size_t w = 0; w < workers; ++w) {
         worker_wmds.emplace_back(context.wmd());
       }
-      // One private query cache per worker (QueryCache is not thread-safe
-      // by design); each is cleared at every document boundary, so results
-      // are identical at any worker count.
-      std::vector<std::unique_ptr<QueryCache>> worker_caches;
-      worker_caches.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        worker_caches.push_back(
-            std::make_unique<QueryCache>(config.query_cache_bytes));
-      }
-
       SweepState st;
       st.done.resize(eligible.size());
       {
@@ -549,8 +515,7 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
           try {
             DocRecord record =
                 process_doc(eligible[pos], worker_model, worker_resources,
-                            worker_wmds[worker_id],
-                            worker_caches[worker_id].get());
+                            worker_wmds[worker_id]);
             // Post-hoc accounting, as in the serial sweep: grant unused.
             (void)sweep_budget.charge_up_to(record_query_cost(record));
             MutexLock lock(st.mu);
@@ -626,8 +591,6 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
         worse_of(result.termination, TerminationReason::kStopped);
   }
   result.sweep_queries_used = sweep_budget.used();
-  // Every cache hit is one forward pass the sweep did not run.
-  result.queries_saved = result.cache_hits;
 
   result.adversarial_accuracy =
       result.docs_evaluated == 0

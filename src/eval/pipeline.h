@@ -117,16 +117,6 @@ struct AttackEvalConfig {
   /// and the run ends kDeadlineExceeded with a valid resumable checkpoint.
   /// Default-constructed: never expires.
   Deadline sweep_deadline;
-  /// Byte budget for the per-worker memoizing query cache (0 disables
-  /// caching). Each attack worker owns one cache, cleared at every
-  /// document boundary so cached warmth never leaks across documents —
-  /// results stay independent of document scheduling (serial == parallel
-  /// at any thread count) and bitwise-identical to an uncached run
-  /// whenever no per-document max_queries cap binds (cache hits are not
-  /// charged to the budget, so a capped attack can afford more work).
-  /// The capacity is reserved against the process MemoryBudget with a
-  /// halving ladder; under pressure the cache shrinks or disables itself.
-  std::size_t query_cache_bytes = 32u << 20;
   /// Streaming hook: invoked once per committed record, strictly in
   /// ascending doc_index order, on the committing (caller's) thread —
   /// replayed checkpoint records first when resuming, then fresh records
@@ -179,15 +169,6 @@ struct AttackEvalResult {
   /// Accounted queries charged against sweep_max_queries (also filled when
   /// the sweep budget is unlimited; then it is the plain accounted total).
   std::size_t sweep_queries_used = 0;
-  /// Query-cache totals over the fresh (non-replayed) attacked documents:
-  /// hits were served from the memoizing cache, misses ran the model, and
-  /// queries_saved (== cache_hits) counts forward passes avoided. Replayed
-  /// checkpoint records contribute zeros — the counters are diagnostics,
-  /// not part of the bitwise-stable result surface, and are deliberately
-  /// not serialized into checkpoints.
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::size_t queries_saved = 0;
 };
 
 /// Attacks the model over task.test. For binary tasks the target label is

@@ -57,27 +57,8 @@ void SwapEvaluator::bind_control(const AttackControl* control) {
   control_ = control;
 }
 
-QueryCache* SwapEvaluator::active_cache() const {
-  if (!cacheable_ || control_ == nullptr || control_->cache == nullptr) {
-    return nullptr;
-  }
-  return control_->cache->enabled() ? control_->cache : nullptr;
-}
-
-std::uint64_t SwapEvaluator::swap_key(std::size_t pos,
-                                      WordId candidate) const {
-  // Streamed hash of the full resulting sequence: prefix bytes, the
-  // candidate word, then the suffix. Identical to hashing the materialized
-  // swapped sequence, so swap keys and eval_tokens keys unify.
-  std::uint64_t h = fnv1a64_append(kFnv1a64Seed, base_tokens_.data(),
-                                   pos * sizeof(WordId));
-  h = fnv1a64_append(h, &candidate, sizeof(WordId));
-  h = fnv1a64_append(h, base_tokens_.data() + pos + 1,
-                     (base_tokens_.size() - pos - 1) * sizeof(WordId));
-  return h;
-}
-
-void SwapEvaluator::charge_one() {
+void SwapEvaluator::count_query() {
+  ++queries_;
   if (control_ != nullptr && control_->budget != nullptr) {
     control_->charge(1);
     ++charged_;
@@ -88,137 +69,53 @@ Vector SwapEvaluator::eval_swap(std::size_t pos, WordId candidate) {
   ADVTEXT_CHECK_SHAPE(pos < base_tokens_.size())
       << "eval_swap: position " << pos << " out of range for base of "
       << base_tokens_.size() << " tokens";
-  QueryCache* cache = active_cache();
-  if (cache != nullptr) {
-    const std::uint64_t key = swap_key(pos, candidate);
-    if (const std::vector<float>* hit = cache->lookup(key)) {
-      ++queries_;
-      ++hits_;
-      return *hit;
-    }
-    ++queries_;
-    ++misses_;
-    charge_one();
-    Vector proba = do_eval_swap(pos, candidate);
-    cache->insert(key, proba);
-    return proba;
-  }
-  ++queries_;
-  ++misses_;
-  charge_one();
+  count_query();
   return do_eval_swap(pos, candidate);
 }
 
 Vector SwapEvaluator::eval_tokens(const TokenSeq& tokens) {
-  QueryCache* cache = active_cache();
-  if (cache != nullptr) {
-    const std::uint64_t key =
-        fnv1a64(tokens.data(), tokens.size() * sizeof(WordId));
-    if (const std::vector<float>* hit = cache->lookup(key)) {
-      ++queries_;
-      ++hits_;
-      return *hit;
-    }
-    ++queries_;
-    ++misses_;
-    charge_one();
-    Vector proba = do_eval_tokens(tokens);
-    cache->insert(key, proba);
-    return proba;
-  }
-  ++queries_;
-  ++misses_;
-  charge_one();
+  count_query();
   return do_eval_tokens(tokens);
 }
 
-BatchStatus SwapEvaluator::eval_swap_batch(const SwapCandidate* candidates,
-                                           std::size_t count, Matrix& out) {
+BatchStatus SwapEvaluator::admit(std::size_t count, Matrix& out) {
   const std::size_t classes = do_num_classes();
   if (out.rows() != count || out.cols() != classes) {
     out = Matrix(count, classes);
   }
-  QueryCache* cache = active_cache();
-  miss_cands_.clear();
-  miss_rows_.clear();
-  miss_keys_.clear();
-  alias_rows_.clear();
-  pending_.clear();
-
-  // Phase A: walk the batch in request order, replicating the seed
-  // per-candidate loop's control checks (deadline before every row, budget
-  // before every miss) so budget-limited truncation lands on the same
-  // logical query index as the sequential path.
+  // The seed per-candidate loop's control checks, in its order, so a
+  // limit truncates at the same logical query index as the sequential
+  // path and is classified deadline-first.
   BatchStatus status;
-  for (std::size_t i = 0; i < count; ++i) {
+  for (; status.evaluated < count; ++status.evaluated) {
     if (control_ != nullptr && control_->deadline.expired()) {
       status.out_of_time = true;
       break;
     }
-    ADVTEXT_CHECK_SHAPE(candidates[i].pos < base_tokens_.size())
-        << "eval_swap_batch: position " << candidates[i].pos
-        << " out of range for base of " << base_tokens_.size() << " tokens";
-    if (cache != nullptr) {
-      const std::uint64_t key = swap_key(candidates[i].pos,
-                                         candidates[i].word);
-      if (const std::vector<float>* hit = cache->lookup(key)) {
-        std::copy(hit->begin(), hit->end(), out.row(i));
-        ++queries_;
-        ++hits_;
-        ++status.evaluated;
-        continue;
-      }
-      const auto pending = pending_.find(key);
-      if (pending != pending_.end()) {
-        // In-batch duplicate of a still-pending miss: copy its row after
-        // phase B computes it. Costs nothing and is not charged.
-        alias_rows_.emplace_back(i, pending->second);
-        ++queries_;
-        ++hits_;
-        ++status.evaluated;
-        continue;
-      }
-      if (control_ != nullptr && control_->budget_exhausted()) {
-        status.out_of_budget = true;
-        break;
-      }
-      pending_.emplace(key, i);
-      miss_keys_.push_back(key);
-    } else if (control_ != nullptr && control_->budget_exhausted()) {
+    if (control_ != nullptr && control_->budget_exhausted()) {
       status.out_of_budget = true;
       break;
     }
-    ++queries_;
-    ++misses_;
-    charge_one();
-    miss_cands_.push_back(candidates[i]);
-    miss_rows_.push_back(i);
-    ++status.evaluated;
+    count_query();
   }
+  while (rows_.size() < status.evaluated) rows_.push_back(rows_.size());
+  return status;
+}
 
-  // Phase B: score every miss in one batched forward (or, under the bench
-  // seed-path switch, through the per-candidate hook row by row).
-  if (!miss_rows_.empty()) {
-    if (sequential_scoring()) {
-      for (std::size_t m = 0; m < miss_rows_.size(); ++m) {
-        const Vector proba =
-            do_eval_swap(miss_cands_[m].pos, miss_cands_[m].word);
-        std::copy(proba.begin(), proba.end(), out.row(miss_rows_[m]));
-      }
-    } else {
-      do_eval_swap_batch(miss_cands_.data(), miss_rows_.data(),
-                         miss_rows_.size(), out);
-    }
-    if (cache != nullptr) {
-      for (std::size_t m = 0; m < miss_rows_.size(); ++m) {
-        const float* r = out.row(miss_rows_[m]);
-        row_scratch_.assign(r, r + classes);
-        cache->insert(miss_keys_[m], row_scratch_);
-      }
-    }
+BatchStatus SwapEvaluator::eval_swap_batch(const SwapCandidate* candidates,
+                                           std::size_t count, Matrix& out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    ADVTEXT_CHECK_SHAPE(candidates[i].pos < base_tokens_.size())
+        << "eval_swap_batch: position " << candidates[i].pos
+        << " out of range for base of " << base_tokens_.size() << " tokens";
   }
-  for (const auto& [dst, src] : alias_rows_) {
-    std::copy(out.row(src), out.row(src) + classes, out.row(dst));
+  const BatchStatus status = admit(count, out);
+  if (status.evaluated == 0) return status;
+  if (sequential_scoring()) {
+    SwapEvaluator::do_eval_swap_batch(candidates, rows_.data(),
+                                      status.evaluated, out);
+  } else {
+    do_eval_swap_batch(candidates, rows_.data(), status.evaluated, out);
   }
   return status;
 }
@@ -230,79 +127,15 @@ BatchStatus SwapEvaluator::eval_swap_batch(
 
 BatchStatus SwapEvaluator::eval_tokens_batch(const TokenSeq* docs,
                                              std::size_t count, Matrix& out) {
-  const std::size_t classes = do_num_classes();
-  if (out.rows() != count || out.cols() != classes) {
-    out = Matrix(count, classes);
-  }
-  QueryCache* cache = active_cache();
-  miss_docs_.clear();
-  miss_rows_.clear();
-  miss_keys_.clear();
-  alias_rows_.clear();
-  pending_.clear();
-
-  BatchStatus status;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (control_ != nullptr && control_->deadline.expired()) {
-      status.out_of_time = true;
-      break;
-    }
-    if (cache != nullptr) {
-      const std::uint64_t key =
-          fnv1a64(docs[i].data(), docs[i].size() * sizeof(WordId));
-      if (const std::vector<float>* hit = cache->lookup(key)) {
-        std::copy(hit->begin(), hit->end(), out.row(i));
-        ++queries_;
-        ++hits_;
-        ++status.evaluated;
-        continue;
-      }
-      const auto pending = pending_.find(key);
-      if (pending != pending_.end()) {
-        alias_rows_.emplace_back(i, pending->second);
-        ++queries_;
-        ++hits_;
-        ++status.evaluated;
-        continue;
-      }
-      if (control_ != nullptr && control_->budget_exhausted()) {
-        status.out_of_budget = true;
-        break;
-      }
-      pending_.emplace(key, i);
-      miss_keys_.push_back(key);
-    } else if (control_ != nullptr && control_->budget_exhausted()) {
-      status.out_of_budget = true;
-      break;
-    }
-    ++queries_;
-    ++misses_;
-    charge_one();
-    miss_docs_.push_back(&docs[i]);
-    miss_rows_.push_back(i);
-    ++status.evaluated;
-  }
-
-  if (!miss_rows_.empty()) {
-    if (sequential_scoring()) {
-      for (std::size_t m = 0; m < miss_rows_.size(); ++m) {
-        const Vector proba = do_eval_tokens(*miss_docs_[m]);
-        std::copy(proba.begin(), proba.end(), out.row(miss_rows_[m]));
-      }
-    } else {
-      do_eval_tokens_batch(miss_docs_.data(), miss_rows_.data(),
-                           miss_rows_.size(), out);
-    }
-    if (cache != nullptr) {
-      for (std::size_t m = 0; m < miss_rows_.size(); ++m) {
-        const float* r = out.row(miss_rows_[m]);
-        row_scratch_.assign(r, r + classes);
-        cache->insert(miss_keys_[m], row_scratch_);
-      }
-    }
-  }
-  for (const auto& [dst, src] : alias_rows_) {
-    std::copy(out.row(src), out.row(src) + classes, out.row(dst));
+  const BatchStatus status = admit(count, out);
+  if (status.evaluated == 0) return status;
+  docs_.resize(status.evaluated);
+  for (std::size_t i = 0; i < status.evaluated; ++i) docs_[i] = &docs[i];
+  if (sequential_scoring()) {
+    SwapEvaluator::do_eval_tokens_batch(docs_.data(), rows_.data(),
+                                        status.evaluated, out);
+  } else {
+    do_eval_tokens_batch(docs_.data(), rows_.data(), status.evaluated, out);
   }
   return status;
 }

@@ -15,19 +15,15 @@
 //
 // SwapEvaluator is a non-virtual shell over protected do_* hooks. The shell
 // owns everything the attacks must agree on regardless of model family:
-//   * query counting (queries() stays the logical hit+miss count, so
-//     reported query metrics, checkpoints and resume replay are identical
-//     whether or not a cache is attached);
-//   * the memoizing QueryCache (keyed by an FNV-1a hash of the full
-//     resulting token sequence, so eval_swap and eval_tokens call sites
-//     unify) — misses are computed, hits are served from memory;
-//   * the single QueryBudget charge point: a batch of N candidates charges
-//     N on miss, hits are free, and nothing else in the attack loop touches
-//     the budget for evaluator queries;
+//   * query counting: every evaluated row is one query, whichever entry
+//     point scored it (a repeat or an in-batch duplicate included);
+//   * the single QueryBudget charge point: each counted query charges 1,
+//     and nothing else in the attack loop touches the budget for
+//     evaluator queries;
 //   * deadline/budget truncation for batched sweeps, replicating the
-//     seed per-candidate loop semantics (deadline checked before every
-//     row, budget before every miss; a truncated batch returns the number
-//     of rows actually evaluated).
+//     seed per-candidate loop semantics (deadline, then budget, checked
+//     before every row; a truncated batch returns the number of rows
+//     actually evaluated).
 //
 // Models implement do_eval_swap / do_eval_tokens (per-candidate) and may
 // override the do_*_batch hooks with stacked-gemm versions; the default
@@ -38,13 +34,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/tensor/tensor.h"
 #include "src/text/corpus.h"
-#include "src/util/query_cache.h"
 #include "src/util/robust.h"
 
 namespace advtext {
@@ -87,43 +80,34 @@ class SwapEvaluator {
 
   /// Scores candidates[0..count) in order, one `out` row per candidate.
   /// Honors the bound AttackControl exactly like the per-candidate loops:
-  /// the deadline is polled before every row and the budget checked before
-  /// every miss; on a limit hit the sweep truncates and the status reports
-  /// how many rows were actually evaluated (rows past it are untouched)
-  /// and which limit fired. Cache hits — including duplicates within the
-  /// batch — are served without a charge.
+  /// the deadline is polled and the budget checked before every row; on a
+  /// limit hit the sweep truncates and the status reports how many rows
+  /// were actually evaluated (rows past it are untouched) and which limit
+  /// fired. Every evaluated row is one query and one charge.
   BatchStatus eval_swap_batch(const SwapCandidate* candidates,
                               std::size_t count, Matrix& out);
   BatchStatus eval_swap_batch(const std::vector<SwapCandidate>& candidates,
                               Matrix& out);
 
-  /// Batched eval_tokens with the same truncation/caching contract.
+  /// Batched eval_tokens with the same truncation/charging contract.
   BatchStatus eval_tokens_batch(const TokenSeq* docs, std::size_t count,
                                 Matrix& out);
   BatchStatus eval_tokens_batch(const std::vector<TokenSeq>& docs,
                                 Matrix& out);
 
-  /// Binds the shared attack controls (deadline + query budget + optional
-  /// cache). Attacks bind once right after creating the evaluator; the
-  /// control must outlive the evaluator's use. Unbound evaluators run
-  /// unlimited and uncached (the analyzer's uncharged-forward rule pins
-  /// that every attack entry point either binds or charges explicitly).
+  /// Binds the shared attack controls (deadline + query budget). Attacks
+  /// bind once right after creating the evaluator; the control must
+  /// outlive the evaluator's use. Unbound evaluators run unlimited (the
+  /// analyzer's uncharged-forward rule pins that every attack entry point
+  /// either binds or charges explicitly).
   void bind_control(const AttackControl* control);
 
   /// Number of candidate evaluations performed (query-count metric).
-  /// Counts hits + misses: attaching a cache never changes the reported
-  /// query counts, only the work and the budget charges.
   std::size_t queries() const { return queries_; }
 
-  /// Evaluations served from the bound QueryCache.
-  std::size_t cache_hits() const { return hits_; }
-
-  /// Evaluations actually computed (the only ones charged to the budget).
-  std::size_t cache_misses() const { return misses_; }
-
-  /// Total queries charged to the bound QueryBudget (== misses made while
-  /// a budget was bound). The attacks DCHECK this against the budget's
-  /// used() tally at sweep end to pin the single-charge-point invariant.
+  /// Total queries charged to the bound QueryBudget (== queries() made
+  /// while a budget was bound). The attacks report it so joint_attack can
+  /// DCHECK it against the budget's used() tally at every return.
   std::size_t budget_charged() const { return charged_; }
 
  protected:
@@ -133,7 +117,8 @@ class SwapEvaluator {
   virtual Vector do_eval_tokens(const TokenSeq& tokens) = 0;
 
   /// Batched hooks: compute candidates[m] into out.row(rows[m]) for
-  /// m in [0, count). Defaults loop the per-candidate hooks; models
+  /// m in [0, count). The shell passes the evaluated prefix of the request
+  /// with rows[m] == m. Defaults loop the per-candidate hooks; models
   /// override with stacked-gemm implementations. Implementations must be
   /// bit-identical to the per-candidate path and must consume any
   /// stochastic state (MC-dropout RNG) in row order.
@@ -144,36 +129,29 @@ class SwapEvaluator {
                                     const std::size_t* rows,
                                     std::size_t count, Matrix& out);
 
-  /// Impls whose forward is stochastic (MC dropout) clear this so the
-  /// cache is bypassed — memoizing a random draw would change results.
-  bool cacheable_ = true;
-
-  /// Current base document, kept by the shell for cache keying. Valid
-  /// inside do_* hooks (set before do_rebase runs).
+  /// Current base document, kept by the shell. Valid inside do_* hooks
+  /// (set before do_rebase runs).
   TokenSeq base_tokens_;
 
  private:
-  QueryCache* active_cache() const;
-  std::uint64_t swap_key(std::size_t pos, WordId candidate) const;
-  void charge_one();
+  /// Counts one query and charges it to the bound budget, if any.
+  void count_query();
+  /// Sizes `out` to count x classes, then admits rows in request order:
+  /// per row it polls the deadline, checks the budget, then counts the
+  /// query. Stops at the first limit.
+  BatchStatus admit(std::size_t count, Matrix& out);
 
   const AttackControl* control_ = nullptr;
   std::size_t queries_ = 0;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
   std::size_t charged_ = 0;
 
-  // Reused batch scratch (hot path: one batch per greedy round).
-  std::vector<SwapCandidate> miss_cands_;
-  std::vector<const TokenSeq*> miss_docs_;
-  std::vector<std::size_t> miss_rows_;
-  std::vector<std::uint64_t> miss_keys_;
-  std::vector<std::pair<std::size_t, std::size_t>> alias_rows_;
-  std::unordered_map<std::uint64_t, std::size_t> pending_;
-  std::vector<float> row_scratch_;
+  // Reused batch scratch (hot path: one batch per greedy round): the
+  // identity row map and the row pointers the tokens hook takes.
+  std::vector<std::size_t> rows_;
+  std::vector<const TokenSeq*> docs_;
 };
 
-/// Benchmark/CI hook: when true, the batch entry points score their misses
+/// Benchmark/CI hook: when true, the batch entry points score their rows
 /// through the per-candidate do_eval_* path instead of the stacked-gemm
 /// overrides. Results are bit-identical either way (that is the batched
 /// contract); the switch exists so the bench-attack-sweep job can emit

@@ -351,9 +351,6 @@ class WCnnSwapEvaluatorImpl : public SwapEvaluator {
   std::size_t do_num_classes() const override { return model_.num_classes(); }
 
   void do_rebase(const TokenSeq& tokens) override {
-    // MC-dropout forwards are stochastic draws; memoizing one would change
-    // results, so the shell's cache is bypassed whenever dropout is live.
-    cacheable_ = model_.config().mc_dropout <= 0.0f;
     padded_ = model_.padded(tokens);
     const std::size_t nw = padded_.size() - kernel_ + 1;
     wins_.resize(nw * kernel_ * dim_);

@@ -102,6 +102,14 @@ std::string encode_result_artifact(std::uint64_t job_id,
 
 }  // namespace
 
+void DaemonStats::warn(std::string message) {
+  if (warnings.size() == kMaxWarnings) {
+    warnings.erase(warnings.begin());
+    ++warnings_dropped;
+  }
+  warnings.push_back(std::move(message));
+}
+
 AttackDaemon::AttackDaemon(const SynthTask& task,
                            const TaskAttackContext& context,
                            std::vector<ServedModel> models,
@@ -232,8 +240,7 @@ void AttackDaemon::handle_connection(Connection conn) {
         // Unjournaled means unaccepted: give the id back statistically
         // (the id hole itself is fine — recovery scans past holes).
         --stats_.jobs_accepted;
-        stats_.warnings.push_back("job-journal-failed: " +
-                                  saved.failure().message);
+        stats_.warn("job-journal-failed: " + saved.failure().message);
       }
     }
     if (!saved.ok()) {
@@ -282,8 +289,7 @@ void AttackDaemon::handle_connection(Connection conn) {
     // service.write fault): drop the connection, count it, keep serving.
     MutexLock lock(mu_);
     ++stats_.accept_failures;
-    stats_.warnings.push_back(std::string("connection-failed: ") +
-                              error.what());
+    stats_.warn(std::string("connection-failed: ") + error.what());
   }
 }
 
@@ -316,7 +322,7 @@ void AttackDaemon::worker_loop() {
       MutexLock lock(mu_);
       ++stats_.jobs_errored;
       stats_.worst_job = worse_of(stats_.worst_job, TerminationReason::kError);
-      stats_.warnings.push_back(std::string("job-failed: ") + error.what());
+      stats_.warn(std::string("job-failed: ") + error.what());
     }
   }
 }
@@ -382,7 +388,7 @@ void AttackDaemon::run_job(PendingJob job) {
     record_io_retries(saved);
     ++stats_.jobs_errored;
     stats_.worst_job = worse_of(stats_.worst_job, TerminationReason::kError);
-    stats_.warnings.push_back(
+    stats_.warn(
         "job " + std::to_string(job.id) + " names unknown model '" +
         job.request.model + "' after recovery; recorded as kError");
     return;
@@ -414,7 +420,6 @@ void AttackDaemon::run_job(PendingJob job) {
   eval.checkpoint_every = config_.checkpoint_every;
   eval.resume = file_exists(eval.checkpoint_path);
   eval.threads = 1;  // one worker per job; jobs are the parallelism unit
-  eval.query_cache_bytes = config_.query_cache_bytes;
   eval.sweep_deadline = job.deadline;
   std::size_t sweep_cap = static_cast<std::size_t>(job.request.job_max_queries);
   if (ledger != nullptr) {
@@ -495,8 +500,8 @@ void AttackDaemon::run_job(PendingJob job) {
     record_io_retries(saved);
     ++stats_.jobs_errored;
     stats_.worst_job = worse_of(stats_.worst_job, TerminationReason::kError);
-    stats_.warnings.push_back("job " + std::to_string(job.id) +
-                              " failed twice: " + sweep_error);
+    stats_.warn("job " + std::to_string(job.id) + " failed twice: " +
+                sweep_error);
     return;
   }
 
@@ -507,9 +512,6 @@ void AttackDaemon::run_job(PendingJob job) {
   summary.docs_attacked = result.docs_attacked;
   summary.docs_failed = result.docs_failed;
   summary.sweep_queries_used = result.sweep_queries_used;
-  summary.cache_hits = result.cache_hits;
-  summary.cache_misses = result.cache_misses;
-  summary.queries_saved = result.queries_saved;
   summary.success_rate = result.success_rate;
   summary.adversarial_accuracy = result.adversarial_accuracy;
 
@@ -545,9 +547,8 @@ void AttackDaemon::run_job(PendingJob job) {
     // torn fragment and leave journal + checkpoint so recovery re-runs
     // (deterministically) rather than lose the job.
     (void)remove_file(job_path(job.id, ".result"));
-    stats_.warnings.push_back("result-write-failed for job " +
-                              std::to_string(job.id) + ": " +
-                              saved.failure().message);
+    stats_.warn("result-write-failed for job " + std::to_string(job.id) +
+                ": " + saved.failure().message);
   }
   ++stats_.jobs_completed;
   stats_.worst_job = worse_of(stats_.worst_job, result.termination);
@@ -562,7 +563,7 @@ void AttackDaemon::on_worker_stall(const Heartbeat* heart,
     ++stats_.jobs_stalled;
     stats_.worst_job =
         worse_of(stats_.worst_job, TerminationReason::kDeadlineExceeded);
-    stats_.warnings.push_back(
+    stats_.warn(
         "watchdog-stall: '" + tag + "' made no progress for " +
         std::to_string(static_cast<long>(stalled_ms)) + " ms");
     const auto it = active_jobs_.find(heart);
@@ -643,8 +644,8 @@ std::size_t AttackDaemon::recover() {
       ++stats_.jobs_errored;
       stats_.worst_job =
           worse_of(stats_.worst_job, TerminationReason::kError);
-      stats_.warnings.push_back("job " + std::to_string(id) +
-                                " journal unreadable: " + error.what());
+      stats_.warn("job " + std::to_string(id) + " journal unreadable: " +
+                  error.what());
       continue;
     }
     // Re-run synchronously, ascending id: deterministic order, and the

@@ -96,9 +96,6 @@ struct DaemonConfig {
   /// the job is shed with a typed RejectReason::kResource — overload
   /// shedding for memory instead of an OOM abort.
   std::size_t job_memory_bytes = std::size_t{1} << 20;
-  /// Per-worker memoizing query cache budget for served sweeps
-  /// (AttackEvalConfig::query_cache_bytes; `--query-cache-mb`, 0 disables).
-  std::size_t query_cache_bytes = 32u << 20;
 };
 
 /// Operational counters, readable after serve()/recover() return.
@@ -125,7 +122,18 @@ struct DaemonStats {
   std::size_t io_retries = 0;            ///< RetryPolicy attempts absorbed
   /// Severity fold (worse_of) over every finished job's termination.
   TerminationReason worst_job = TerminationReason::kSucceeded;
+  /// The newest kMaxWarnings warnings, oldest first.
   std::vector<std::string> warnings;
+  /// Warnings dropped from the front of `warnings` to keep it bounded.
+  std::size_t warnings_dropped = 0;
+
+  /// A peer that keeps failing connections must not grow a long-lived
+  /// daemon's memory, so only this many warnings are kept.
+  static constexpr std::size_t kMaxWarnings = 64;
+
+  /// Appends a warning, dropping (and counting) the oldest past
+  /// kMaxWarnings.
+  void warn(std::string message);
 };
 
 /// The daemon. Single-owner lifecycle: construct, optionally recover(),

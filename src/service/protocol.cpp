@@ -129,9 +129,6 @@ std::string encode_job_complete(const JobComplete& complete) {
   io::write_u64(out, complete.docs_attacked);
   io::write_u64(out, complete.docs_failed);
   io::write_u64(out, complete.sweep_queries_used);
-  io::write_u64(out, complete.cache_hits);
-  io::write_u64(out, complete.cache_misses);
-  io::write_u64(out, complete.queries_saved);
   io::write_double(out, complete.success_rate);
   io::write_double(out, complete.adversarial_accuracy);
   return out.str();
@@ -240,9 +237,6 @@ JobComplete decode_job_complete(const std::string& payload) {
         complete.docs_attacked = io::read_u64(in);
         complete.docs_failed = io::read_u64(in);
         complete.sweep_queries_used = io::read_u64(in);
-        complete.cache_hits = io::read_u64(in);
-        complete.cache_misses = io::read_u64(in);
-        complete.queries_saved = io::read_u64(in);
         complete.success_rate = io::read_double(in);
         complete.adversarial_accuracy = io::read_double(in);
         return complete;

@@ -111,12 +111,6 @@ struct JobComplete {
   std::uint64_t docs_attacked = 0;
   std::uint64_t docs_failed = 0;
   std::uint64_t sweep_queries_used = 0;
-  /// Query-cache totals over the job's fresh attacked documents (zeros
-  /// when the daemon runs with the cache disabled or the job was replayed
-  /// from a checkpoint). queries_saved == cache_hits: forwards avoided.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t queries_saved = 0;
   double success_rate = 0.0;
   double adversarial_accuracy = 0.0;
 };

@@ -165,20 +165,15 @@ class QueryBudget {
   std::atomic<std::size_t> used_{0};
 };
 
-class QueryCache;  // util/query_cache.h
-
 /// Shared run controls threaded through the attack algorithms. The deadline
 /// is copied (absolute instant); the budget is borrowed and mutated so all
 /// phases of one document draw from the same pool. Both default to
-/// unconstrained, keeping existing call sites valid.
+/// unconstrained, keeping existing call sites valid. The SwapEvaluator
+/// shell charges `budget` once per evaluated row, which is the single
+/// charge point for evaluator queries.
 struct AttackControl {
   Deadline deadline;
   QueryBudget* budget = nullptr;  ///< may be null (unlimited)
-  /// Optional memoizing query cache. Owned by the caller (one per attack
-  /// worker, reset per document); the SwapEvaluator shell consults it and
-  /// charges `budget` on cache misses only, which is the single charge
-  /// point for evaluator queries.
-  QueryCache* cache = nullptr;
 
   bool budget_exhausted() const {
     return budget != nullptr && budget->exhausted();

@@ -1,11 +1,8 @@
-// Batched candidate scoring + query cache tests: the batched evaluator
-// entry points must be bit-identical to the per-candidate loops for every
-// model family; attaching a QueryCache must change work and charges but
-// never results; the budget is charged on cache misses only; LRU eviction
-// under a tight MemoryBudget is deterministic; and a SIGTERM-interrupted
-// sweep with the cache enabled resumes bitwise, even across the
-// cache-on/cache-off boundary (the checkpoint format carries no cache
-// state by design).
+// Batched candidate scoring tests: the batched evaluator entry points must
+// be bit-identical to the per-candidate loops for every model family; every
+// evaluated row is one query and one budget charge, whichever entry point
+// scored it; a per-document query cap binds identically at any worker
+// count; and a SIGTERM-interrupted sweep resumes bitwise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,17 +13,19 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/data/synthetic.h"
 #include "src/eval/pipeline.h"
 #include "src/nn/bow_classifier.h"
+#include "src/nn/checkpoint.h"
 #include "src/nn/gru.h"
 #include "src/nn/lstm.h"
 #include "src/nn/trainer.h"
 #include "src/nn/wcnn.h"
-#include "src/util/query_cache.h"
+#include "src/service/protocol.h"
 #include "src/util/robust.h"
 #include "src/util/rng.h"
 #include "src/util/stop_token.h"
@@ -123,7 +122,7 @@ void expect_rows_within(const Matrix& scores, std::size_t row,
 // the batched-gemm and (via the bench switch) the sequential scoring path.
 // An evaluator's batched and sequential paths share its cached base
 // state, so the full forward is the only independent reference. No
-// control bound: unlimited and uncached.
+// control bound: unlimited.
 TEST(BatchedScoring, SwapBatchMatchesSequentialBitwise) {
   const TokenSeq base = sample_tokens(40, 7);
   for (const auto& model : all_models()) {
@@ -352,155 +351,61 @@ TEST(BatchedScoring, WCnnMcDropoutBatchMatchesFullForwardStream) {
   }
 }
 
-// The shell's charge point: misses are computed and charged, hits (repeat
-// queries, in-batch duplicates, and eval_swap/eval_tokens key unification)
-// are served free — while queries() always counts both.
-TEST(QueryCacheCharging, ChargesOnMissOnly) {
+// The shell's charge point: with a QueryBudget bound, every evaluated row
+// is one query and one charge, whichever entry point scored it — a repeat,
+// an in-batch duplicate and the re-anchor eval_tokens of a just-scored swap
+// included. Duplicates are computed like any other row, so their rows are
+// byte-identical. A batch that meets the cap stops at it.
+TEST(BatchedScoring, EveryEvaluatedRowChargesOneQuery) {
   const TokenSeq base = sample_tokens(30, 13);
-  WCnnConfig config;
-  config.embed_dim = task().config.embedding_dim;
-  config.num_filters = 24;
-  const WCnn model(config, Matrix(task().paragram));
-
-  QueryBudget budget;
-  QueryCache cache(32u << 20);
-  ASSERT_TRUE(cache.enabled());
-  AttackControl control;
-  control.budget = &budget;
-  control.cache = &cache;
-
-  auto evaluator = model.make_swap_evaluator(base);
-  evaluator->bind_control(&control);
-
-  const Vector first = evaluator->eval_swap(3, 9);
-  const Vector again = evaluator->eval_swap(3, 9);
-  EXPECT_EQ(evaluator->queries(), 2u);
-  EXPECT_EQ(evaluator->cache_hits(), 1u);
-  EXPECT_EQ(evaluator->cache_misses(), 1u);
-  EXPECT_EQ(budget.used(), 1u);
-  for (std::size_t c = 0; c < first.size(); ++c) {
-    EXPECT_EQ(first[c], again[c]);
-  }
-
-  // Key unification: eval_tokens of the materialized swapped sequence hits
-  // the entry eval_swap populated.
   TokenSeq swapped = base;
   swapped[3] = 9;
-  (void)evaluator->eval_tokens(swapped);
-  EXPECT_EQ(evaluator->cache_hits(), 2u);
-  EXPECT_EQ(budget.used(), 1u);
+  const auto same_bytes = [](const Matrix& scores, std::size_t a,
+                             std::size_t b) {
+    return std::memcmp(scores.row(a), scores.row(b),
+                       scores.cols() * sizeof(float)) == 0;
+  };
+  for (const auto& model : all_models()) {
+    SCOPED_TRACE(testing::Message() << "classes=" << model->num_classes());
+    QueryBudget budget(12);
+    AttackControl control;
+    control.budget = &budget;
+    auto evaluator = model->make_swap_evaluator(base);
+    evaluator->bind_control(&control);
 
-  // A batch with a prior hit and an in-batch duplicate: only the two
-  // distinct unseen candidates are charged.
-  const std::vector<SwapCandidate> batch = {
-      {3, 9}, {5, 7}, {5, 7}, {8, 4}};
-  Matrix scores;
-  const BatchStatus status = evaluator->eval_swap_batch(batch, scores);
-  EXPECT_EQ(status.evaluated, 4u);
-  EXPECT_EQ(evaluator->queries(), 7u);
-  EXPECT_EQ(evaluator->cache_hits(), 4u);   // repeat, dup, and the earlier 2
-  EXPECT_EQ(evaluator->cache_misses(), 3u);
-  EXPECT_EQ(budget.used(), 3u);
-  EXPECT_EQ(evaluator->budget_charged(), budget.used());
-  // Duplicate rows are byte-identical.
-  for (std::size_t c = 0; c < scores.cols(); ++c) {
-    EXPECT_EQ(scores(1, c), scores(2, c));
+    const Vector first = evaluator->eval_swap(3, 9);
+    EXPECT_EQ(evaluator->eval_swap(3, 9), first);
+    EXPECT_EQ(budget.used(), 2u);
+    (void)evaluator->eval_tokens(swapped);  // the re-anchor
+    EXPECT_EQ(budget.used(), 3u);
+
+    const std::vector<SwapCandidate> swaps = {{3, 9}, {5, 7}, {5, 7}, {8, 4}};
+    Matrix scores;
+    EXPECT_EQ(evaluator->eval_swap_batch(swaps, scores).evaluated, 4u);
+    EXPECT_EQ(budget.used(), 7u);
+    EXPECT_TRUE(same_bytes(scores, 1, 2)) << "in-batch duplicate swap";
+
+    const std::vector<TokenSeq> docs = {swapped, base, swapped};
+    EXPECT_EQ(evaluator->eval_tokens_batch(docs, scores).evaluated, 3u);
+    EXPECT_EQ(budget.used(), 10u);
+    EXPECT_TRUE(same_bytes(scores, 0, 2)) << "in-batch duplicate document";
+
+    // Two rows of budget left: the batch admits them, then stops.
+    const BatchStatus capped = evaluator->eval_swap_batch(swaps, scores);
+    EXPECT_EQ(capped.evaluated, 2u);
+    EXPECT_TRUE(capped.out_of_budget);
+    EXPECT_FALSE(capped.out_of_time);
+    EXPECT_EQ(budget.used(), 12u);
+
+    EXPECT_EQ(evaluator->queries(), 12u);
+    EXPECT_EQ(evaluator->queries(), evaluator->budget_charged());
+    EXPECT_EQ(evaluator->budget_charged(), budget.used());
   }
-  EXPECT_EQ(evaluator->queries(),
-            evaluator->cache_hits() + evaluator->cache_misses());
-}
-
-// Without a cache every query is a (charged) miss, so the reported query
-// counts are identical to the cached run — only the charges differ.
-TEST(QueryCacheCharging, UncachedCountsEveryQueryAsMiss) {
-  const TokenSeq base = sample_tokens(30, 17);
-  WCnnConfig config;
-  config.embed_dim = task().config.embedding_dim;
-  config.num_filters = 24;
-  const WCnn model(config, Matrix(task().paragram));
-
-  QueryBudget budget;
-  AttackControl control;
-  control.budget = &budget;  // no cache bound
-
-  auto evaluator = model.make_swap_evaluator(base);
-  evaluator->bind_control(&control);
-  (void)evaluator->eval_swap(3, 9);
-  (void)evaluator->eval_swap(3, 9);
-  EXPECT_EQ(evaluator->queries(), 2u);
-  EXPECT_EQ(evaluator->cache_hits(), 0u);
-  EXPECT_EQ(evaluator->cache_misses(), 2u);
-  EXPECT_EQ(budget.used(), 2u);
-}
-
-// LRU eviction is a pure function of the lookup/insert sequence — two
-// caches fed the same sequence agree entry-for-entry — and the halving
-// ladder degrades the capacity under a tight process MemoryBudget instead
-// of overrunning it.
-TEST(QueryCacheEviction, DeterministicUnderTightMemoryBudget) {
-  MemoryBudget& mem = MemoryBudget::instance();
-  const std::size_t old_limit = mem.limit_bytes();
-  // Leave room for exactly the 1 MiB floor (plus slack below one halving
-  // step), so a 32 MiB request must walk the ladder down to the floor.
-  mem.set_limit_bytes(mem.used_bytes() + QueryCache::kMinCapacityBytes +
-                      (QueryCache::kMinCapacityBytes / 2));
-
-  {
-    QueryCache a(32u << 20);
-    QueryCache b(32u << 20);
-    ASSERT_TRUE(a.enabled());
-    EXPECT_EQ(a.capacity_bytes(), QueryCache::kMinCapacityBytes);
-    EXPECT_EQ(b.capacity_bytes(), 0u);  // budget exhausted by `a`: disabled
-
-    // Fill past capacity with constant-size entries; the steady state holds
-    // exactly floor(capacity / entry_bytes) entries and evicts the rest in
-    // insertion order (pure LRU).
-    const std::vector<float> proba = {0.25f, 0.75f};
-    std::size_t inserted = 0;
-    while (a.evictions() == 0) {
-      a.insert(inserted, proba);
-      ++inserted;
-    }
-    const std::size_t steady = a.entries();
-    EXPECT_EQ(inserted, steady + 1);
-    EXPECT_EQ(a.lookup(0), nullptr);            // oldest key evicted first
-    EXPECT_NE(a.lookup(1), nullptr);            // survivor prefix intact
-
-    // Touching key 1 moved it to the front: the next insert evicts key 2,
-    // not key 1 — recency, not insertion order.
-    a.insert(inserted, proba);
-    EXPECT_NE(a.lookup(1), nullptr);
-    EXPECT_EQ(a.lookup(2), nullptr);
-
-    // Replay the same sequence into a fresh cache under the same budget:
-    // bitwise-identical occupancy and eviction count.
-    mem.set_limit_bytes(mem.used_bytes() + QueryCache::kMinCapacityBytes +
-                        (QueryCache::kMinCapacityBytes / 2));
-    QueryCache replay(32u << 20);
-    ASSERT_TRUE(replay.enabled());
-    for (std::size_t key = 0; key < inserted; ++key) {
-      replay.insert(key, proba);
-    }
-    (void)replay.lookup(1);
-    replay.insert(inserted, proba);
-    EXPECT_EQ(replay.entries(), a.entries());
-    EXPECT_EQ(replay.evictions(), a.evictions());
-    EXPECT_EQ(replay.bytes_used(), a.bytes_used());
-    EXPECT_EQ(replay.lookup(2), nullptr);
-    EXPECT_NE(replay.lookup(1), nullptr);
-
-    // clear() drops entries but keeps the reserved capacity.
-    replay.clear();
-    EXPECT_EQ(replay.entries(), 0u);
-    EXPECT_EQ(replay.bytes_used(), 0u);
-    EXPECT_EQ(replay.capacity_bytes(), QueryCache::kMinCapacityBytes);
-  }
-  mem.set_limit_bytes(old_limit);
 }
 
 // ---- attack/pipeline level -------------------------------------------------
 
-class BatchCachePipelineFixture : public ::testing::Test {
+class BatchPipelineFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     SynthConfig config = make_yelp(53).config;
@@ -535,10 +440,18 @@ class BatchCachePipelineFixture : public ::testing::Test {
   }
 
   static AttackEvalConfig sweep_config(std::size_t max_docs,
-                                       std::size_t cache_bytes) {
+                                       std::size_t threads = 1) {
     AttackEvalConfig config;
     config.max_docs = max_docs;
-    config.query_cache_bytes = cache_bytes;
+    config.threads = threads;
+    if (threads > 1) {
+      config.make_model_replica = []() -> std::unique_ptr<TextClassifier> {
+        auto replica =
+            std::make_unique<WCnn>(wcnn_config(), Matrix(task_->paragram));
+        copy_model_params(*model_, *replica);
+        return replica;
+      };
+    }
     return config;
   }
 
@@ -546,11 +459,9 @@ class BatchCachePipelineFixture : public ::testing::Test {
     return evaluate_attack(*model_, *task_, *context_, config);
   }
 
-  // Everything but timing must be bitwise identical between a cached and
-  // an uncached sweep: the cache changes work, never results or the
-  // reported (logical) query counts.
-  static void expect_equal_modulo_cache(const AttackEvalResult& a,
-                                        const AttackEvalResult& b) {
+  // Everything but timing must be bitwise identical between the two sweeps.
+  static void expect_equal_results(const AttackEvalResult& a,
+                                   const AttackEvalResult& b) {
     EXPECT_EQ(a.adversarial_accuracy, b.adversarial_accuracy);
     EXPECT_EQ(a.success_rate, b.success_rate);
     EXPECT_EQ(a.mean_queries, b.mean_queries);
@@ -581,23 +492,39 @@ class BatchCachePipelineFixture : public ::testing::Test {
   static WCnn* model_;
 };
 
-SynthTask* BatchCachePipelineFixture::task_ = nullptr;
-TaskAttackContext* BatchCachePipelineFixture::context_ = nullptr;
-WCnn* BatchCachePipelineFixture::model_ = nullptr;
+SynthTask* BatchPipelineFixture::task_ = nullptr;
+TaskAttackContext* BatchPipelineFixture::context_ = nullptr;
+WCnn* BatchPipelineFixture::model_ = nullptr;
 
-TEST_F(BatchCachePipelineFixture, CacheOnOffSweepsAreBitwiseIdentical) {
-  const AttackEvalResult uncached = run(sweep_config(10, 0));
-  EXPECT_EQ(uncached.cache_hits, 0u);
-  EXPECT_EQ(uncached.queries_saved, 0u);
-  EXPECT_GT(uncached.cache_misses, 0u);
-
-  const AttackEvalResult cached = run(sweep_config(10, 32u << 20));
-  expect_equal_modulo_cache(uncached, cached);
-  EXPECT_GT(cached.cache_hits, 0u)
-      << "re-anchor/retry queries should hit the cache";
-  EXPECT_EQ(cached.queries_saved, cached.cache_hits);
-  EXPECT_EQ(cached.cache_hits + cached.cache_misses,
-            uncached.cache_misses);
+// A per-document query cap binds identically at any worker count: the
+// committed records are bitwise-identical at 1 and 4 attack threads, and
+// no record counts more queries than the cap. Each counted query is one
+// charge; the final verification forward of an attack is charged but not
+// counted, and lands after the search has stopped.
+TEST_F(BatchPipelineFixture, CappedSweepMatchesAcrossThreadCounts) {
+  constexpr std::size_t kCap = 60;
+  const auto capped = [](std::size_t threads, std::string& records) {
+    AttackEvalConfig config = sweep_config(10, threads);
+    config.joint.max_queries = kCap;
+    config.on_commit = [&records](const DocRecord& record) {
+      std::ostringstream out;
+      write_record(out, record);
+      records += out.str();
+    };
+    return run(config);
+  };
+  std::string serial_records;
+  std::string parallel_records;
+  const AttackEvalResult serial = capped(1, serial_records);
+  const AttackEvalResult parallel = capped(4, parallel_records);
+  EXPECT_GT(serial.docs_budget, 0u) << "the cap should bind on some document";
+  EXPECT_EQ(serial_records, parallel_records);
+  expect_equal_results(serial, parallel);
+  for (const AttackEvalResult* result : {&serial, &parallel}) {
+    for (const JointAttackResult& attack : result->attacks) {
+      EXPECT_LE(attack.queries, kCap);
+    }
+  }
 }
 
 // Forwards every oracle bitwise but raises SIGTERM on the Nth
@@ -641,23 +568,21 @@ bool file_exists(const std::string& path) {
   return true;
 }
 
-// A SIGTERM-interrupted cached sweep leaves a checkpoint that resumes
-// bitwise — checked against an *uncached* uninterrupted reference, so the
-// test also pins that checkpoints carry no cache state and replay
-// identically across the cache-on/off boundary.
-TEST_F(BatchCachePipelineFixture, SigtermWithCacheResumesBitwise) {
+// A SIGTERM-interrupted sweep leaves a checkpoint that resumes bitwise,
+// checked against an uninterrupted reference.
+TEST_F(BatchPipelineFixture, SigtermResumesBitwise) {
   const std::string path =
       ::testing::TempDir() + "advtext_batch_cache_sigterm_ckpt.bin";
   std::remove(path.c_str());
 
-  const AttackEvalResult reference = run(sweep_config(10, 0));
+  const AttackEvalResult reference = run(sweep_config(10));
 
   const std::size_t raise_after = task_->test.docs.size() + 4;
   EXPECT_EXIT(
       {
         StopToken::instance().install();
         const SigtermAfterNCalls raising(*model_, raise_after);
-        AttackEvalConfig config = sweep_config(10, 32u << 20);
+        AttackEvalConfig config = sweep_config(10);
         config.checkpoint_path = path;
         config.checkpoint_every = 1;
         const AttackEvalResult r =
@@ -671,12 +596,12 @@ TEST_F(BatchCachePipelineFixture, SigtermWithCacheResumesBitwise) {
       ::testing::ExitedWithCode(5), "");
 
   ASSERT_TRUE(file_exists(path));
-  AttackEvalConfig resumed = sweep_config(10, 32u << 20);
+  AttackEvalConfig resumed = sweep_config(10);
   resumed.checkpoint_path = path;
   resumed.checkpoint_every = 1;
   resumed.resume = true;
   const AttackEvalResult completed = run(resumed);
-  expect_equal_modulo_cache(reference, completed);
+  expect_equal_results(reference, completed);
   EXPECT_EQ(completed.termination, TerminationReason::kSucceeded);
 
   std::remove(path.c_str());

@@ -259,9 +259,6 @@ TEST(Protocol, MessagesRoundTrip) {
   complete.docs_attacked = 4;
   complete.docs_failed = 1;
   complete.sweep_queries_used = 77;
-  complete.cache_hits = 30;
-  complete.cache_misses = 47;
-  complete.queries_saved = 30;
   complete.success_rate = 0.75;
   complete.adversarial_accuracy = 0.25;
   const JobComplete complete_back =
@@ -270,9 +267,6 @@ TEST(Protocol, MessagesRoundTrip) {
   EXPECT_EQ(complete_back.termination, TerminationReason::kBudgetExhausted);
   EXPECT_EQ(complete_back.docs_evaluated, 5u);
   EXPECT_EQ(complete_back.sweep_queries_used, 77u);
-  EXPECT_EQ(complete_back.cache_hits, 30u);
-  EXPECT_EQ(complete_back.cache_misses, 47u);
-  EXPECT_EQ(complete_back.queries_saved, 30u);
   EXPECT_DOUBLE_EQ(complete_back.success_rate, 0.75);
 
   DocRecord failed;
@@ -595,6 +589,50 @@ TEST_F(ServiceFixture, KilledDaemonRecoversEveryJobBitwiseIdentically) {
   EXPECT_TRUE(file_exists(cut_config.state_dir + "/job2.result"));
   EXPECT_EQ(slurp(cut_config.state_dir + "/job1.result"), ref_result_1);
   EXPECT_EQ(slurp(cut_config.state_dir + "/job2.result"), ref_result_2);
+}
+
+// A peer that keeps failing its connections must not grow the daemon's
+// memory: the daemon keeps the newest DaemonStats::kMaxWarnings warnings
+// and counts the ones it drops.
+TEST_F(ServiceFixture, FailedConnectionsKeepWarningsBounded) {
+  DaemonStats bounded;
+  for (std::size_t i = 0; i < DaemonStats::kMaxWarnings + 3; ++i) {
+    bounded.warn("warning " + std::to_string(i));
+  }
+  ASSERT_EQ(bounded.warnings.size(), DaemonStats::kMaxWarnings);
+  EXPECT_EQ(bounded.warnings_dropped, 3u);
+  EXPECT_EQ(bounded.warnings.front(), "warning 3");
+  EXPECT_EQ(bounded.warnings.back(),
+            "warning " + std::to_string(DaemonStats::kMaxWarnings + 2));
+
+  // Every daemon-side read throws, so each connection fails once.
+  InjectorGuard guard;
+  FaultInjector::instance().configure("service.read:throw:1.0");
+  const DaemonConfig config = base_config("warnings");
+  AttackDaemon daemon(*task_, *context_, {{"wcnn", model_}}, config);
+  constexpr std::size_t kFailures = DaemonStats::kMaxWarnings + 6;
+  {
+    DaemonRunner runner(daemon);
+    for (std::size_t i = 0; i < kFailures; ++i) {
+      (void)connect_client(config.socket_path);  // connect, then hang up
+    }
+    Mutex mu;
+    CondVar never;
+    const Deadline deadline = Deadline::after_ms(60000.0);
+    while (daemon.stats().accept_failures < kFailures && !deadline.expired()) {
+      MutexLock lock(mu);
+      (void)never.wait_for_ms(mu, 5);
+    }
+    StopToken::instance().request_stop();
+    runner.wait();
+  }
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.accept_failures, kFailures);
+  EXPECT_EQ(stats.warnings.size(), DaemonStats::kMaxWarnings);
+  EXPECT_EQ(stats.warnings_dropped, kFailures - DaemonStats::kMaxWarnings);
+  for (const std::string& warning : stats.warnings) {
+    EXPECT_EQ(warning.rfind("connection-failed: ", 0), 0u) << warning;
+  }
 }
 
 TEST_F(ServiceFixture, SurvivesInjectedTransportFaults) {

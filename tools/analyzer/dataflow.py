@@ -9,10 +9,10 @@ rules:
     classifier forward-family call (``forward``/``predict``/
     ``predict_proba``/``class_probability``/``eval_swap``/``eval_tokens``
     and their batched variants) must pass through at least one function
-    that charges the ``QueryBudget`` (``charge(``/``charge_up_to(``),
-    checks a cache hit, or binds an ``AttackControl`` to the evaluator
-    shell (``bind_control(`` — the shell then charges every cache miss
-    itself, which is the one charge point of the batched scoring path).
+    that charges the ``QueryBudget`` (``charge(``/``charge_up_to(``) or
+    binds an ``AttackControl`` to the evaluator shell (``bind_control(``
+    — the shell then charges every evaluated row itself, which is the
+    one charge point of the batched scoring path).
     Domination is at *function granularity*: a function that charges
     anywhere discharges the sinks it dominates — a deliberate
     approximation (branch-level domination would need real dataflow).
@@ -68,10 +68,9 @@ _RE_FORWARD_SITE = re.compile(
     r"(?:\.|->)\s*(?:%s)\s*\(" % "|".join(FORWARD_FAMILY))
 #: bind_control counts as a charge site: once an AttackControl is bound to
 #: the SwapEvaluator shell, the shell itself charges the budget on every
-#: cache miss (the single charge point of the batched scoring path), so
+#: evaluated row (the single charge point of the batched scoring path), so
 #: the binding function discharges the queries it dominates.
-_RE_CHARGE = re.compile(
-    r"\bcharge(?:_up_to)?\s*\(|\bcache_hit\b|\bbind_control\s*\(")
+_RE_CHARGE = re.compile(r"\bcharge(?:_up_to)?\s*\(|\bbind_control\s*\(")
 
 _RE_HEAVY_DIRECT = re.compile(
     r"(?:\.|->)\s*(?:%s)\s*\(" % "|".join(FORWARD_FAMILY)
@@ -196,10 +195,10 @@ def check_uncharged_forward(model: SemanticModel) -> list[Finding]:
                     fn.file, site.line, "uncharged-forward",
                     f"classifier query '{site.name}()' is reachable from "
                     f"entry point '{chain[0].split()[-1]}' with no "
-                    "QueryBudget charge or cache-hit check anywhere on the "
-                    "call chain; charge the budget (AttackControl::charge / "
-                    "charge_up_to) on the chain or the paper's query "
-                    "accounting goes silently dishonest",
+                    "QueryBudget charge anywhere on the call chain; charge "
+                    "the budget (AttackControl::charge / charge_up_to) on "
+                    "the chain or the paper's query accounting goes "
+                    "silently dishonest",
                     witness=tuple(chain)))
         for site, targets in model.graph.callees(fn):
             if site.name in FORWARD_FAMILY:

@@ -6,9 +6,9 @@ struct FixtureEvaluator {
 };
 
 // Binding the AttackControl delegates charging to the evaluator shell:
-// every cache miss inside eval_swap_batch charges the bound QueryBudget
-// (hits are free by design), so the chain is charged even though no
-// literal charge() call appears on it.
+// every row eval_swap_batch evaluates charges the bound QueryBudget, so
+// the chain is charged even though no literal charge() call appears on
+// it.
 double fixture_entry(FixtureEvaluator& evaluator,
                      const AttackControl& control) {
   evaluator.bind_control(&control);
