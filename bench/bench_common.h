@@ -4,10 +4,13 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 
 #include "src/data/synthetic.h"
@@ -17,6 +20,8 @@
 #include "src/nn/lstm.h"
 #include "src/nn/trainer.h"
 #include "src/nn/wcnn.h"
+#include "src/service/protocol.h"
+#include "src/util/serialize.h"
 #include "src/util/string_util.h"
 #include "src/util/sync.h"
 
@@ -185,9 +190,9 @@ inline void configure_attack_parallelism(AttackEvalConfig& config,
 }
 
 /// Scoring-path label for the A/B comparison rows: ADVTEXT_BENCH_SCORING=
-/// "seed" selects the original per-candidate evaluator loops, anything
-/// else (default) the batched one-gemm-per-layer path. Both produce
-/// bitwise-identical attack results; only the wall clock differs.
+/// "seed" selects the per-candidate evaluator path (one row per call),
+/// anything else (default) the batched one-gemm-per-layer path. Both
+/// produce bitwise-identical attack results; only the wall clock differs.
 inline const char* scoring_mode() {
   const char* env = std::getenv("ADVTEXT_BENCH_SCORING");
   return env != nullptr && std::string(env) == "seed" ? "seed" : "batched";
@@ -255,24 +260,36 @@ struct BenchJsonRecord {
   std::size_t threads = 1; ///< attack-sweep workers
   std::size_t shards = 1;  ///< training data shards
   std::size_t docs = 0;    ///< documents evaluated
-  double wall_seconds = 0.0;      ///< whole-sweep wall clock
-  double seconds_per_doc = 0.0;   ///< mean per attacked doc
+  /// Whole-sweep wall clock. Informational: one run of a few documents,
+  /// not a performance claim (those come from perfbench).
+  double wall_seconds = 0.0;
   double success_rate = 0.0;
   /// Classifier queries of the sweep's attacks, summed over documents,
   /// and the scoring path the row was measured on ("batched" or "seed").
   std::size_t queries = 0;
   std::string scoring = "batched";
+  /// crc32 of the sweep's committed records (see fill_scoring_stats);
+  /// unset for benches that do not run evaluate_attack.
+  std::optional<std::uint32_t> records_crc = std::nullopt;
 };
 
-/// Copies a sweep's query total and the active scoring-path label into a
-/// JSON row (every attack-sweep row should carry them so the batched and
-/// seed measurements are distinguishable inside one artifact).
+/// Copies a sweep's query total, record digest and the active scoring-path
+/// label into a JSON row (every attack-sweep row should carry them so the
+/// batched and seed measurements are distinguishable inside one artifact).
+/// `records` holds the sweep's committed DocRecords in the wire encoding
+/// that `advtext_cli attack --records-out` writes (write_record from the
+/// config's on_commit; timing excluded). Equal digests mean byte-identical
+/// records, so serial, parallel and seed-scoring runs of one cell must
+/// agree on records_crc.
 inline void fill_scoring_stats(BenchJsonRecord& record,
-                               const AttackEvalResult& result) {
+                               const AttackEvalResult& result,
+                               const std::ostringstream& records) {
   record.queries = 0;
   for (const JointAttackResult& attack : result.attacks) {
     record.queries += attack.queries;
   }
+  const std::string bytes = records.str();
+  record.records_crc = io::crc32(bytes.data(), bytes.size());
   record.scoring = scoring_mode();
 }
 
@@ -292,16 +309,20 @@ inline void append_bench_json(const BenchJsonRecord& record) {
     return;
   }
   const auto finite = [](double v) { return std::isfinite(v) ? v : 0.0; };
+  char crc[32] = "";
+  if (record.records_crc.has_value()) {
+    std::snprintf(crc, sizeof(crc), "\"records_crc\":\"%08x\",",
+                  static_cast<unsigned>(*record.records_crc));
+  }
   std::fprintf(
       out,
       "{\"bench\":\"%s\",\"config\":\"%s\",\"threads\":%zu,\"shards\":%zu,"
-      "\"docs\":%zu,\"wall_seconds\":%.6f,\"seconds_per_doc\":%.6f,"
-      "\"success_rate\":%.4f,\"queries\":%zu,\"scoring\":\"%s\","
-      "\"hardware_threads\":%zu}\n",
+      "\"docs\":%zu,\"wall_seconds\":%.6f,\"success_rate\":%.4f,"
+      "\"queries\":%zu,%s\"scoring\":\"%s\",\"hardware_threads\":%zu}\n",
       record.bench.c_str(), record.config.c_str(), record.threads,
       record.shards, record.docs, finite(record.wall_seconds),
-      finite(record.seconds_per_doc), finite(record.success_rate),
-      record.queries, record.scoring.c_str(), hardware_threads());
+      finite(record.success_rate), record.queries, crc,
+      record.scoring.c_str(), hardware_threads());
   std::fclose(out);
 }
 

@@ -10,6 +10,7 @@
 // This bench prints the full grid as series (one row per λw) so the
 // curves can be compared to the figure.
 #include <cstdio>
+#include <sstream>
 #include <string>
 
 #include "bench/bench_common.h"
@@ -38,7 +39,11 @@ int main() {
     for (double lw : word_ratios) {
       std::vector<std::string> row = {format_percent(lw, 0)};
       for (double ls : sentence_ratios) {
+        std::ostringstream records;
         AttackEvalConfig config;
+        config.on_commit = [&records](const DocRecord& record) {
+          write_record(records, record);
+        };
         config.max_docs = docs;
         config.joint.use_lm_filter = task.config.name != "Trec07p";
         config.joint.enable_sentence = ls > 0.0;
@@ -54,9 +59,8 @@ int main() {
             task.config.name + "/LSTM/ls=" + format_percent(ls, 0) +
                 ",lw=" + format_percent(lw, 0),
             config.threads, 1, result.docs_evaluated,
-            watch.elapsed_seconds(), result.mean_seconds_per_doc,
-            result.success_rate};
-        fill_scoring_stats(json_row, result);
+            watch.elapsed_seconds(), result.success_rate};
+        fill_scoring_stats(json_row, result, records);
         append_bench_json(json_row);
         row.push_back(format_percent(result.success_rate, 0));
       }

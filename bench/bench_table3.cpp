@@ -204,7 +204,7 @@ int main() {
                   "/lw=" + format_percent(lw, 0) +
                   ",mc=" + format_percent(static_cast<double>(mc), 0),
               attack_threads(), 1, stats.attacked, watch.elapsed_seconds(),
-              stats.seconds, stats.success_rate};
+              stats.success_rate};
           row.queries = stats.total_queries;
           row.scoring = scoring_mode();
           append_bench_json(row);

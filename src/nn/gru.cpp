@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/nn/recurrent_swap_evaluator.h"
 #include "src/tensor/ops.h"
 
 namespace advtext {
@@ -64,22 +65,6 @@ Vector GruClassifier::proba_from_hidden(const Vector& h) const {
   Vector logits = matvec(out_w_, h);
   for (std::size_t c = 0; c < logits.size(); ++c) logits[c] += out_b_[c];
   return softmax(logits);
-}
-
-void GruClassifier::gate_preact_x(const float* x, std::size_t m,
-                                  float* zx) const {
-  gemm_nt(x, m, wx_.data(), 3 * config_.hidden, config_.embed_dim, zx);
-}
-
-void GruClassifier::gate_preact_zr(const float* h, std::size_t m,
-                                   float* azr) const {
-  gemm_nt(h, m, uh_.data(), 2 * config_.hidden, config_.hidden, azr);
-}
-
-void GruClassifier::gate_preact_cand(const float* rn, std::size_t m,
-                                     float* acand) const {
-  const std::size_t hidden = config_.hidden;
-  gemm_nt(rn, m, uh_.data() + 2 * hidden * hidden, hidden, hidden, acand);
 }
 
 void GruClassifier::pack_gate_weights(PackedB* wx, PackedB* uh_zr,
@@ -200,62 +185,8 @@ Vector GruClassifier::predict_proba(const TokenSeq& tokens) const {
   return proba_from_hidden(h);
 }
 
-Matrix GruClassifier::predict_proba_batch(
-    const std::vector<TokenSeq>& docs) const {
-  const std::size_t count = docs.size();
-  Matrix out(count, config_.num_classes);
-  if (count == 0) return out;
-  for (const TokenSeq& doc : docs) {
-    ADVTEXT_CHECK_SHAPE(!doc.empty()) << "GruClassifier: empty input";
-  }
-  const std::size_t hidden = config_.hidden;
-  const std::size_t dim = config_.embed_dim;
-  // Longest documents first so the active set is a shrinking prefix.
-  std::vector<std::size_t> order(count);
-  for (std::size_t i = 0; i < count; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return docs[a].size() > docs[b].size();
-                   });
-  Matrix h(count, hidden);  // zero-initialized == the scalar initial state
-  Matrix x(count, dim);
-  Matrix zx(count, 3 * hidden);
-  Matrix azr(count, 2 * hidden);
-  Matrix z(count, hidden);
-  Matrix rn(count, hidden);
-  Matrix acand(count, hidden);
-  PackedB wx_packed, uh_zr_packed, uh_cand_packed;
-  pack_gate_weights(&wx_packed, &uh_zr_packed, &uh_cand_packed);
-  const std::size_t maxlen = docs[order[0]].size();
-  std::size_t active = count;
-  for (std::size_t t = 0; t < maxlen; ++t) {
-    while (active > 0 && docs[order[active - 1]].size() <= t) --active;
-    for (std::size_t j = 0; j < active; ++j) {
-      const float* xt = embedding_.vector(docs[order[j]][t]);
-      std::copy(xt, xt + dim, x.row(j));
-    }
-    gate_preact_x(wx_packed, x.data(), active, zx.data());
-    gate_preact_zr(uh_zr_packed, h.data(), active, azr.data());
-    for (std::size_t j = 0; j < active; ++j) {
-      step_gates(zx.row(j), azr.row(j), h.row(j), z.row(j), rn.row(j));
-    }
-    gate_preact_cand(uh_cand_packed, rn.data(), active, acand.data());
-    for (std::size_t j = 0; j < active; ++j) {
-      step_combine(zx.row(j), acand.row(j), z.row(j), h.row(j));
-    }
-  }
-  Matrix proba(count, config_.num_classes);
-  proba_from_hidden_batch(h.data(), count, proba.data());
-  for (std::size_t j = 0; j < count; ++j) {
-    std::copy(proba.row(j), proba.row(j) + config_.num_classes,
-              out.row(order[j]));
-  }
-  return out;
-}
-
 template <typename OnGrads>
-void GruClassifier::bptt(const Matrix& embedded,
-                         const std::vector<StepTrace>& traces,
+void GruClassifier::bptt(const std::vector<StepTrace>& traces,
                          Vector dh_final, OnGrads&& on_grads,
                          Matrix* input_grad) const {
   const std::size_t hidden = config_.hidden;
@@ -266,7 +197,6 @@ void GruClassifier::bptt(const Matrix& embedded,
   for (std::size_t t = traces.size(); t-- > 0;) {
     const StepTrace& tr = traces[t];
     // n = h_{t-1} (zero vector at t = 0).
-    static const Vector kZero;
     const Vector* n_ptr = t > 0 ? &traces[t - 1].h : nullptr;
     Vector dn(hidden, 0.0f);
     Vector drn(hidden, 0.0f);
@@ -319,9 +249,7 @@ void GruClassifier::bptt(const Matrix& embedded,
       }
     }
     dh = std::move(dn);
-    (void)kZero;
   }
-  (void)embedded;
 }
 
 Matrix GruClassifier::input_gradient(const TokenSeq& tokens,
@@ -329,8 +257,7 @@ Matrix GruClassifier::input_gradient(const TokenSeq& tokens,
                                      Vector* proba) const {
   ADVTEXT_CHECK_SHAPE(target < config_.num_classes) << "GruClassifier::input_gradient: target out of range";
   std::vector<StepTrace> traces;
-  Matrix embedded;
-  const Vector p = forward_traced(tokens, &traces, &embedded);
+  const Vector p = forward_traced(tokens, &traces, nullptr);
   if (proba != nullptr) *proba = p;
   Vector dlogits(p.size());
   for (std::size_t c = 0; c < p.size(); ++c) {
@@ -338,7 +265,7 @@ Matrix GruClassifier::input_gradient(const TokenSeq& tokens,
   }
   Vector dh = matvec_transposed(out_w_, dlogits);
   Matrix grad(tokens.size(), config_.embed_dim);
-  bptt(embedded, traces, std::move(dh),
+  bptt(traces, std::move(dh),
        [](std::size_t, const Vector&, const Vector&, const Vector&,
           const Vector*) {},
        &grad);
@@ -378,7 +305,7 @@ float GruClassifier::forward_backward(const TokenSeq& tokens,
   Matrix input_grad(tokens.size(), config_.embed_dim);
   const std::size_t hidden = config_.hidden;
   bptt(
-      embedded, traces, std::move(dh),
+      traces, std::move(dh),
       [&](std::size_t t, const Vector& daz, const Vector& dar,
           const Vector& dah, const Vector* n_ptr) {
         const float* x = embedded.row(t);
@@ -440,244 +367,54 @@ void GruClassifier::zero_grad() {
   embedding_.zero_grad();
 }
 
+// ---- Prefix-cached swap evaluator ------------------------------------------
+
 namespace {
 
-class GruSwapEvaluator : public SwapEvaluator {
- public:
-  GruSwapEvaluator(const GruClassifier& model, const TokenSeq& base)
-      : model_(model) {
-    rebase(base);
+/// The GRU's state (h) and two-gemm gate pass for RecurrentSwapEvaluator.
+struct GruCell {
+  using Model = GruClassifier;
+  static constexpr std::size_t kStates = 1;  // h
+  static constexpr std::size_t kGates = 3;   // z, r, h~
+
+  explicit GruCell(const GruClassifier& m) : model(m) {}
+
+  void pack() { model.pack_gate_weights(&wx, &uh_zr, &uh_cand); }
+
+  void input_preact(const float* x, std::size_t m, float* zx) const {
+    model.gate_preact_x(wx, x, m, zx);
   }
 
- protected:
-  std::size_t do_num_classes() const override { return model_.num_classes(); }
-
-  void do_rebase(const TokenSeq& tokens) override {
-    ADVTEXT_CHECK_SHAPE(!tokens.empty()) << "GruSwapEvaluator: empty base";
-    // Weights are frozen for the lifetime of an attack; pack them once so
-    // every per-timestep gemm of the batched paths skips the tile repack.
-    model_.pack_gate_weights(&wx_packed_, &uh_zr_packed_, &uh_cand_packed_);
-    const std::size_t hidden = model_.config().hidden;
-    states_.assign(tokens.size() + 1, Vector(hidden, 0.0f));
-    const Matrix emb = model_.embedding().lookup(tokens);
-    Vector h(hidden, 0.0f);
-    for (std::size_t t = 0; t < tokens.size(); ++t) {
-      model_.step(emb.row(t), h);
-      states_[t + 1] = h;
+  void advance(const float* const* zx, std::size_t m, float* const* state) {
+    const std::size_t hidden = model.config().hidden;
+    if (azr.rows() < m) {
+      azr = Matrix(m, 2 * hidden);
+      z = Matrix(m, hidden);
+      rn = Matrix(m, hidden);
+      acand = Matrix(m, hidden);
     }
-  }
-
-  Vector do_eval_swap(std::size_t pos, WordId candidate) override {
-    ADVTEXT_CHECK_SHAPE(pos < base_tokens_.size())
-        << "eval_swap: position out of range";
-    Vector h = states_[pos];
-    model_.step(model_.embedding().vector(candidate), h);
-    for (std::size_t t = pos + 1; t < base_tokens_.size(); ++t) {
-      model_.step(model_.embedding().vector(base_tokens_[t]), h);
+    float* h = state[0];
+    model.gate_preact_zr(uh_zr, h, m, azr.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      model.step_gates(zx[j], azr.row(j), h + j * hidden, z.row(j),
+                       rn.row(j));
     }
-    return model_.proba_from_hidden(h);
-  }
-
-  Vector do_eval_tokens(const TokenSeq& tokens) override {
-    if (tokens.size() != base_tokens_.size()) {
-      return model_.predict_proba(tokens);
-    }
-    std::size_t first = 0;
-    while (first < tokens.size() && tokens[first] == base_tokens_[first]) {
-      ++first;
-    }
-    if (first == tokens.size()) {
-      return model_.proba_from_hidden(states_.back());
-    }
-    Vector h = states_[first];
-    for (std::size_t t = first; t < tokens.size(); ++t) {
-      model_.step(model_.embedding().vector(tokens[t]), h);
-    }
-    return model_.proba_from_hidden(h);
-  }
-
-  // Batched candidate scoring: rows sorted by swap position form a growing
-  // active prefix; per timestep each gemm covers every active row, and the
-  // shared suffix token's input pre-activation is computed once (see the
-  // LSTM evaluator for the same layout).
-  void do_eval_swap_batch(const SwapCandidate* candidates,
-                          const std::size_t* rows, std::size_t count,
-                          Matrix& out) override {
-    const std::size_t dim = model_.config().embed_dim;
-    const std::size_t n = base_tokens_.size();
-    order_.resize(count);
-    for (std::size_t i = 0; i < count; ++i) order_[i] = i;
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return candidates[a].pos < candidates[b].pos;
-                     });
-    ensure_scratch(count);
-    std::size_t active = 0;
-    for (std::size_t t = candidates[order_[0]].pos; t < n; ++t) {
-      std::size_t newly = 0;
-      while (active + newly < count &&
-             candidates[order_[active + newly]].pos == t) {
-        const std::size_t slot = active + newly;
-        std::copy(states_[t].begin(), states_[t].end(), h_.row(slot));
-        const float* xc =
-            model_.embedding().vector(candidates[order_[slot]].word);
-        std::copy(xc, xc + dim, x_.row(newly));
-        ++newly;
-      }
-      const std::size_t prev_active = active;
-      active += newly;
-      if (newly > 0) {
-        model_.gate_preact_x(wx_packed_, x_.data(), newly, zx_.data());
-      }
-      if (prev_active > 0) {
-        model_.gate_preact_x(wx_packed_,
-                             model_.embedding().vector(base_tokens_[t]), 1,
-                             zx_base_.data());
-      }
-      zx_ptr_.resize(active);
-      for (std::size_t j = 0; j < active; ++j) {
-        zx_ptr_[j] = j < prev_active ? zx_base_.data()
-                                     : zx_.row(j - prev_active);
-      }
-      step_active(active);
-    }
-    finish_rows(rows, count, out);
-  }
-
-  void do_eval_tokens_batch(const TokenSeq* const* docs,
-                            const std::size_t* rows, std::size_t count,
-                            Matrix& out) override {
-    const std::size_t dim = model_.config().embed_dim;
-    const std::size_t n = base_tokens_.size();
-    const std::size_t classes = model_.num_classes();
-    batch_rows_.clear();
-    first_diff_.clear();
-    for (std::size_t m = 0; m < count; ++m) {
-      const TokenSeq& doc = *docs[m];
-      if (doc.size() != n) {
-        const Vector proba = model_.predict_proba(doc);
-        std::copy(proba.begin(), proba.end(), out.row(rows[m]));
-        continue;
-      }
-      std::size_t first = 0;
-      while (first < n && doc[first] == base_tokens_[first]) ++first;
-      if (first == n) {
-        const Vector proba = model_.proba_from_hidden(states_.back());
-        std::copy(proba.begin(), proba.end(), out.row(rows[m]));
-        continue;
-      }
-      batch_rows_.push_back(m);
-      first_diff_.push_back(first);
-    }
-    const std::size_t bcount = batch_rows_.size();
-    if (bcount == 0) return;
-    order_.resize(bcount);
-    for (std::size_t i = 0; i < bcount; ++i) order_[i] = i;
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return first_diff_[a] < first_diff_[b];
-                     });
-    ensure_scratch(bcount);
-    std::size_t active = 0;
-    for (std::size_t t = first_diff_[order_[0]]; t < n; ++t) {
-      while (active < bcount && first_diff_[order_[active]] == t) {
-        std::copy(states_[t].begin(), states_[t].end(), h_.row(active));
-        ++active;
-      }
-      std::size_t own = 0;
-      bool any_shared = false;
-      zx_ptr_.resize(active);
-      for (std::size_t j = 0; j < active; ++j) {
-        const WordId w = (*docs[batch_rows_[order_[j]]])[t];
-        if (w == base_tokens_[t]) {
-          zx_ptr_[j] = nullptr;  // patched to zx_base_ below
-          any_shared = true;
-        } else {
-          const float* xt = model_.embedding().vector(w);
-          std::copy(xt, xt + dim, x_.row(own));
-          zx_ptr_[j] = zx_.row(own);
-          ++own;
-        }
-      }
-      if (own > 0) {
-        model_.gate_preact_x(wx_packed_, x_.data(), own, zx_.data());
-      }
-      if (any_shared) {
-        model_.gate_preact_x(wx_packed_,
-                             model_.embedding().vector(base_tokens_[t]), 1,
-                             zx_base_.data());
-        for (std::size_t j = 0; j < active; ++j) {
-          if (zx_ptr_[j] == nullptr) zx_ptr_[j] = zx_base_.data();
-        }
-      }
-      step_active(active);
-    }
-    proba_.resize(bcount * classes);
-    model_.proba_from_hidden_batch(h_.data(), bcount, proba_.data());
-    for (std::size_t j = 0; j < bcount; ++j) {
-      const float* src = proba_.data() + j * classes;
-      std::copy(src, src + classes, out.row(rows[batch_rows_[order_[j]]]));
+    model.gate_preact_cand(uh_cand, rn.data(), m, acand.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      model.step_combine(zx[j], acand.row(j), z.row(j), h + j * hidden);
     }
   }
 
- private:
-  void ensure_scratch(std::size_t count) {
-    const std::size_t hidden = model_.config().hidden;
-    if (h_.rows() < count || h_.cols() != hidden) {
-      h_ = Matrix(count, hidden);
-      x_ = Matrix(count, model_.config().embed_dim);
-      zx_ = Matrix(count, 3 * hidden);
-      azr_ = Matrix(count, 2 * hidden);
-      z_ = Matrix(count, hidden);
-      rn_ = Matrix(count, hidden);
-      acand_ = Matrix(count, hidden);
-    }
-    zx_base_.resize(3 * hidden);
-  }
-
-  /// One timestep over the active prefix; zx_ptr_ must hold each row's
-  /// input pre-activation.
-  void step_active(std::size_t active) {
-    model_.gate_preact_zr(uh_zr_packed_, h_.data(), active, azr_.data());
-    for (std::size_t j = 0; j < active; ++j) {
-      model_.step_gates(zx_ptr_[j], azr_.row(j), h_.row(j), z_.row(j),
-                        rn_.row(j));
-    }
-    model_.gate_preact_cand(uh_cand_packed_, rn_.data(), active,
-                            acand_.data());
-    for (std::size_t j = 0; j < active; ++j) {
-      model_.step_combine(zx_ptr_[j], acand_.row(j), z_.row(j), h_.row(j));
-    }
-  }
-
-  void finish_rows(const std::size_t* rows, std::size_t count, Matrix& out) {
-    const std::size_t classes = model_.num_classes();
-    proba_.resize(count * classes);
-    model_.proba_from_hidden_batch(h_.data(), count, proba_.data());
-    for (std::size_t j = 0; j < count; ++j) {
-      const float* src = proba_.data() + j * classes;
-      std::copy(src, src + classes, out.row(rows[order_[j]]));
-    }
-  }
-
-  const GruClassifier& model_;
-  std::vector<Vector> states_;
-  PackedB wx_packed_, uh_zr_packed_, uh_cand_packed_;
-
-  std::vector<std::size_t> order_;
-  std::vector<std::size_t> batch_rows_;
-  std::vector<std::size_t> first_diff_;
-  std::vector<const float*> zx_ptr_;
-  Matrix h_, x_, zx_, azr_, z_, rn_, acand_;
-  Vector zx_base_;
-  Vector proba_;
+  const GruClassifier& model;
+  PackedB wx, uh_zr, uh_cand;
+  Matrix azr, z, rn, acand;
 };
 
 }  // namespace
 
 std::unique_ptr<SwapEvaluator> GruClassifier::make_swap_evaluator(
     const TokenSeq& base) const {
-  return std::make_unique<GruSwapEvaluator>(*this, base);
+  return std::make_unique<RecurrentSwapEvaluator<GruCell>>(*this, base);
 }
 
 }  // namespace advtext

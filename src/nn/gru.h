@@ -3,7 +3,8 @@
 // A second recurrent victim family beyond the paper's LSTM: the attacks
 // only touch the TextClassifier interface, so the GRU drops in anywhere
 // the benches use the LSTM. Full manual BPTT (training + per-word input
-// gradients) and a prefix-cached SwapEvaluator, like the LSTM.
+// gradients) and the prefix-cached SwapEvaluator it shares with the LSTM
+// (RecurrentSwapEvaluator).
 //
 // Gate equations (n = h_{t-1}):
 //   z = σ(Wz x + Uz n + bz)            update gate
@@ -41,7 +42,6 @@ class GruClassifier final : public TrainableClassifier {
   }
 
   Vector predict_proba(const TokenSeq& tokens) const override;
-  Matrix predict_proba_batch(const std::vector<TokenSeq>& docs) const override;
   Matrix input_gradient(const TokenSeq& tokens, std::size_t target,
                         Vector* proba = nullptr) const override;
   std::unique_ptr<SwapEvaluator> make_swap_evaluator(
@@ -54,40 +54,30 @@ class GruClassifier final : public TrainableClassifier {
   const GruConfig& config() const { return config_; }
   const EmbeddingLayer& embedding() const { return embedding_; }
 
-  /// One GRU step: consumes embedding row x; updates h in place.
-  void step(const float* x, Vector& h) const;
-
-  /// Probabilities from a final hidden state.
-  Vector proba_from_hidden(const Vector& h) const;
+  // -- Internal recurrence, exposed for the SwapEvaluator -------------------
 
   // Batched recurrence primitives. Each output element is the same
   // ascending-k dot the scalar step computes, so one step decomposes as
   //   gate_preact_x + gate_preact_zr + step_gates
   //   + gate_preact_cand + step_combine
-  // bit-for-bit per row; the batched evaluator runs each piece as one
-  // gemm per timestep across the whole candidate set.
+  // bit-for-bit per row; the evaluator runs each piece as one gemm per
+  // timestep across the whole candidate set.
+
+  /// Packs the gate weights for the gate_preact_* members. The caller owns
+  /// the buffers and must repack after any weight update; the evaluator
+  /// packs at rebase time, when weights are frozen.
+  void pack_gate_weights(PackedB* wx, PackedB* uh_zr, PackedB* uh_cand) const;
 
   /// zx = X * Wx^T for m stacked embedding rows (m x D -> m x 3H).
-  void gate_preact_x(const float* x, std::size_t m, float* zx) const;
+  void gate_preact_x(const PackedB& wx, const float* x, std::size_t m,
+                     float* zx) const;
 
   /// Recurrent term of the z/r gates: H * U[z;r]^T (m x H -> m x 2H).
-  void gate_preact_zr(const float* h, std::size_t m, float* azr) const;
+  void gate_preact_zr(const PackedB& uh_zr, const float* h, std::size_t m,
+                      float* azr) const;
 
   /// Recurrent term of the candidate gate: RN * Uh^T (m x H -> m x H),
   /// where RN rows are r ∘ h_{t-1} as produced by step_gates.
-  void gate_preact_cand(const float* rn, std::size_t m, float* acand) const;
-
-  /// One-time pack of the gate weights for the packed overloads below.
-  /// The caller owns the buffers and must repack after any weight update;
-  /// the batched evaluator packs at rebase time, when weights are frozen.
-  void pack_gate_weights(PackedB* wx, PackedB* uh_zr, PackedB* uh_cand) const;
-
-  /// Bit-identical to the unpacked overloads, minus the per-call repack
-  /// of the weight tile.
-  void gate_preact_x(const PackedB& wx, const float* x, std::size_t m,
-                     float* zx) const;
-  void gate_preact_zr(const PackedB& uh_zr, const float* h, std::size_t m,
-                      float* azr) const;
   void gate_preact_cand(const PackedB& uh_cand, const float* rn,
                         std::size_t m, float* acand) const;
 
@@ -121,6 +111,14 @@ class GruClassifier final : public TrainableClassifier {
     Vector z, r, htilde, h;
   };
 
+  /// One GRU step: consumes embedding row x; updates h in place.
+  /// predict_proba's scalar path, the independent reference the batched
+  /// primitives are tested against.
+  void step(const float* x, Vector& h) const;
+
+  /// Probabilities from a final hidden state.
+  Vector proba_from_hidden(const Vector& h) const;
+
   Vector forward_traced(const TokenSeq& tokens, std::vector<StepTrace>* traces,
                         Matrix* embedded) const;
 
@@ -128,8 +126,8 @@ class GruClassifier final : public TrainableClassifier {
   /// step t, the gate pre-activation gradients (daz, dar, dah) and n =
   /// h_{t-1}; input gradients go to input_grad when non-null.
   template <typename OnGrads>
-  void bptt(const Matrix& embedded, const std::vector<StepTrace>& traces,
-            Vector dh_final, OnGrads&& on_grads, Matrix* input_grad) const;
+  void bptt(const std::vector<StepTrace>& traces, Vector dh_final,
+            OnGrads&& on_grads, Matrix* input_grad) const;
 
   GruConfig config_;
   EmbeddingLayer embedding_;

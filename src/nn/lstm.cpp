@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/nn/recurrent_swap_evaluator.h"
 #include "src/tensor/ops.h"
 
 namespace advtext {
@@ -66,16 +67,6 @@ Vector LstmClassifier::proba_from_hidden(const Vector& h) const {
     logits[cls] += out_b_[cls];
   }
   return softmax(logits);
-}
-
-void LstmClassifier::gate_preact_x(const float* x, std::size_t m,
-                                   float* zx) const {
-  gemm_nt(x, m, wx_.data(), 4 * config_.hidden, config_.embed_dim, zx);
-}
-
-void LstmClassifier::gate_preact_h(const float* h, std::size_t m,
-                                   float* zh) const {
-  gemm_nt(h, m, wh_.data(), 4 * config_.hidden, config_.hidden, zh);
 }
 
 void LstmClassifier::pack_gate_weights(PackedB* wx, PackedB* wh) const {
@@ -182,57 +173,8 @@ Vector LstmClassifier::predict_proba(const TokenSeq& tokens) const {
   return proba_from_hidden(h);
 }
 
-Matrix LstmClassifier::predict_proba_batch(
-    const std::vector<TokenSeq>& docs) const {
-  const std::size_t count = docs.size();
-  Matrix out(count, config_.num_classes);
-  if (count == 0) return out;
-  for (const TokenSeq& doc : docs) {
-    ADVTEXT_CHECK_SHAPE(!doc.empty()) << "LstmClassifier: empty input";
-  }
-  const std::size_t hidden = config_.hidden;
-  const std::size_t dim = config_.embed_dim;
-  // Longest documents first: the active set is then always a prefix of the
-  // sort order and shrinks as shorter documents finish.
-  std::vector<std::size_t> order(count);
-  for (std::size_t i = 0; i < count; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return docs[a].size() > docs[b].size();
-                   });
-  Matrix h(count, hidden);  // zero-initialized == the scalar initial state
-  Matrix c(count, hidden);
-  Matrix x(count, dim);
-  Matrix zx(count, 4 * hidden);
-  Matrix zh(count, 4 * hidden);
-  PackedB wx_packed, wh_packed;
-  pack_gate_weights(&wx_packed, &wh_packed);
-  const std::size_t maxlen = docs[order[0]].size();
-  std::size_t active = count;
-  for (std::size_t t = 0; t < maxlen; ++t) {
-    while (active > 0 && docs[order[active - 1]].size() <= t) --active;
-    for (std::size_t j = 0; j < active; ++j) {
-      const float* xt = embedding_.vector(docs[order[j]][t]);
-      std::copy(xt, xt + dim, x.row(j));
-    }
-    gate_preact_h(wh_packed, h.data(), active, zh.data());
-    gate_preact_x(wx_packed, x.data(), active, zx.data());
-    for (std::size_t j = 0; j < active; ++j) {
-      step_from_preact(zx.row(j), zh.row(j), h.row(j), c.row(j));
-    }
-  }
-  Matrix proba(count, config_.num_classes);
-  proba_from_hidden_batch(h.data(), count, proba.data());
-  for (std::size_t j = 0; j < count; ++j) {
-    std::copy(proba.row(j), proba.row(j) + config_.num_classes,
-              out.row(order[j]));
-  }
-  return out;
-}
-
 template <typename OnStep>
-void LstmClassifier::bptt(const Matrix& embedded,
-                          const std::vector<StepTrace>& traces,
+void LstmClassifier::bptt(const std::vector<StepTrace>& traces,
                           Vector dh_final, OnStep&& on_step,
                           Matrix* input_grad) const {
   const std::size_t hidden = config_.hidden;
@@ -280,7 +222,6 @@ void LstmClassifier::bptt(const Matrix& embedded,
     }
     dh = std::move(dh_prev);
   }
-  (void)embedded;
 }
 
 Matrix LstmClassifier::input_gradient(const TokenSeq& tokens,
@@ -288,8 +229,7 @@ Matrix LstmClassifier::input_gradient(const TokenSeq& tokens,
                                       Vector* proba) const {
   ADVTEXT_CHECK_SHAPE(target < config_.num_classes) << "LstmClassifier::input_gradient: target out of range";
   std::vector<StepTrace> traces;
-  Matrix embedded;
-  const Vector p = forward_traced(tokens, &traces, &embedded);
+  const Vector p = forward_traced(tokens, &traces, nullptr);
   if (proba != nullptr) *proba = p;
 
   Vector dlogits(p.size());
@@ -299,7 +239,7 @@ Matrix LstmClassifier::input_gradient(const TokenSeq& tokens,
   Vector dh = matvec_transposed(out_w_, dlogits);
 
   Matrix grad(tokens.size(), config_.embed_dim);
-  bptt(embedded, traces, std::move(dh),
+  bptt(traces, std::move(dh),
        [](std::size_t, const Vector&, const Vector*) {}, &grad);
   return grad;
 }
@@ -338,7 +278,7 @@ float LstmClassifier::forward_backward(const TokenSeq& tokens,
   const bool train_embedding = !embedding_.frozen();
   Matrix input_grad(tokens.size(), config_.embed_dim);
   bptt(
-      embedded, traces, std::move(dh),
+      traces, std::move(dh),
       [&](std::size_t t, const Vector& dz, const Vector* h_prev) {
         const float* x = embedded.row(t);
         for (std::size_t r = 0; r < 4 * config_.hidden; ++r) {
@@ -395,250 +335,40 @@ void LstmClassifier::zero_grad() {
 
 namespace {
 
-class LstmSwapEvaluatorImpl : public SwapEvaluator {
- public:
-  LstmSwapEvaluatorImpl(const LstmClassifier& model, const TokenSeq& base)
-      : model_(model) {
-    rebase(base);
+/// The LSTM's state (h, c) and gate pass for RecurrentSwapEvaluator.
+struct LstmCell {
+  using Model = LstmClassifier;
+  static constexpr std::size_t kStates = 2;  // h, c
+  static constexpr std::size_t kGates = 4;   // i, f, g, o
+
+  explicit LstmCell(const LstmClassifier& m) : model(m) {}
+
+  void pack() { model.pack_gate_weights(&wx, &wh); }
+
+  void input_preact(const float* x, std::size_t m, float* zx) const {
+    model.gate_preact_x(wx, x, m, zx);
   }
 
- protected:
-  std::size_t do_num_classes() const override { return model_.num_classes(); }
-
-  void do_rebase(const TokenSeq& tokens) override {
-    ADVTEXT_CHECK_SHAPE(!tokens.empty()) << "LstmSwapEvaluator: empty base";
-    // Weights are frozen for the lifetime of an attack; pack them once so
-    // every per-timestep gemm, here and in the batched paths, skips the
-    // tile repack.
-    model_.pack_gate_weights(&wx_packed_, &wh_packed_);
-    const std::size_t hidden = model_.config().hidden;
-    const std::size_t n = tokens.size();
-    // states_[t] = (h, c) after consuming tokens[0..t-1].
-    h_states_.assign(n + 1, Vector(hidden, 0.0f));
-    c_states_.assign(n + 1, Vector(hidden, 0.0f));
-    // Only the recurrent term is sequential: every step's input
-    // pre-activation comes from one gemm over the whole document. Same
-    // bits as step() by gate_preact_x + gate_preact_h + step_from_preact.
-    const Matrix emb = model_.embedding().lookup(tokens);
-    Matrix zx(n, 4 * hidden);
-    model_.gate_preact_x(wx_packed_, emb.data(), n, zx.data());
-    Vector zh(4 * hidden);
-    for (std::size_t t = 0; t < n; ++t) {
-      model_.gate_preact_h(wh_packed_, h_states_[t].data(), 1, zh.data());
-      h_states_[t + 1] = h_states_[t];
-      c_states_[t + 1] = c_states_[t];
-      model_.step_from_preact(zx.row(t), zh.data(), h_states_[t + 1].data(),
-                              c_states_[t + 1].data());
+  void advance(const float* const* zx, std::size_t m, float* const* state) {
+    const std::size_t hidden = model.config().hidden;
+    if (zh.rows() < m) zh = Matrix(m, 4 * hidden);
+    model.gate_preact_h(wh, state[0], m, zh.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      model.step_from_preact(zx[j], zh.row(j), state[0] + j * hidden,
+                             state[1] + j * hidden);
     }
   }
 
-  Vector do_eval_swap(std::size_t pos, WordId candidate) override {
-    ADVTEXT_CHECK_SHAPE(pos < base_tokens_.size())
-        << "eval_swap: position out of range";
-    Vector h = h_states_[pos];
-    Vector c = c_states_[pos];
-    model_.step(model_.embedding().vector(candidate), h, c);
-    for (std::size_t t = pos + 1; t < base_tokens_.size(); ++t) {
-      model_.step(model_.embedding().vector(base_tokens_[t]), h, c);
-    }
-    return model_.proba_from_hidden(h);
-  }
-
-  Vector do_eval_tokens(const TokenSeq& tokens) override {
-    if (tokens.size() != base_tokens_.size()) {
-      return model_.predict_proba(tokens);
-    }
-    std::size_t first = 0;
-    while (first < tokens.size() && tokens[first] == base_tokens_[first]) {
-      ++first;
-    }
-    if (first == tokens.size()) {
-      return model_.proba_from_hidden(h_states_.back());
-    }
-    Vector h = h_states_[first];
-    Vector c = c_states_[first];
-    for (std::size_t t = first; t < tokens.size(); ++t) {
-      model_.step(model_.embedding().vector(tokens[t]), h, c);
-    }
-    return model_.proba_from_hidden(h);
-  }
-
-  // Batched candidate scoring. Rows are sorted by swap position so the
-  // active set is a growing prefix: at each timestep one gemm produces
-  // every active row's recurrent pre-activation, and rows past their swap
-  // all consume the same base token, so its input pre-activation is
-  // computed once and shared. This removes the dominant 4H*D-per-row term
-  // of the suffix recurrence — the scalar path pays it every step.
-  void do_eval_swap_batch(const SwapCandidate* candidates,
-                          const std::size_t* rows, std::size_t count,
-                          Matrix& out) override {
-    const std::size_t hidden = model_.config().hidden;
-    const std::size_t dim = model_.config().embed_dim;
-    const std::size_t n = base_tokens_.size();
-    order_.resize(count);
-    for (std::size_t i = 0; i < count; ++i) order_[i] = i;
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return candidates[a].pos < candidates[b].pos;
-                     });
-    ensure_scratch(count, hidden, dim);
-    std::size_t active = 0;
-    for (std::size_t t = candidates[order_[0]].pos; t < n; ++t) {
-      // Activate rows whose swap is at t from the cached prefix state.
-      std::size_t newly = 0;
-      while (active + newly < count &&
-             candidates[order_[active + newly]].pos == t) {
-        const std::size_t slot = active + newly;
-        std::copy(h_states_[t].begin(), h_states_[t].end(), h_.row(slot));
-        std::copy(c_states_[t].begin(), c_states_[t].end(), c_.row(slot));
-        const float* xc =
-            model_.embedding().vector(candidates[order_[slot]].word);
-        std::copy(xc, xc + dim, x_.row(newly));
-        ++newly;
-      }
-      const std::size_t prev_active = active;
-      active += newly;
-      model_.gate_preact_h(wh_packed_, h_.data(), active, zh_.data());
-      if (newly > 0) {
-        model_.gate_preact_x(wx_packed_, x_.data(), newly, zx_.data());
-      }
-      if (prev_active > 0) {
-        model_.gate_preact_x(wx_packed_,
-                             model_.embedding().vector(base_tokens_[t]), 1,
-                             zx_base_.data());
-      }
-      for (std::size_t j = 0; j < active; ++j) {
-        const float* zx = j < prev_active ? zx_base_.data()
-                                          : zx_.row(j - prev_active);
-        model_.step_from_preact(zx, zh_.row(j), h_.row(j), c_.row(j));
-      }
-    }
-    finish_rows(rows, count, out);
-  }
-
-  void do_eval_tokens_batch(const TokenSeq* const* docs,
-                            const std::size_t* rows, std::size_t count,
-                            Matrix& out) override {
-    const std::size_t hidden = model_.config().hidden;
-    const std::size_t dim = model_.config().embed_dim;
-    const std::size_t n = base_tokens_.size();
-    const std::size_t classes = model_.num_classes();
-    // Rows the prefix cache cannot help ride the scalar path unchanged.
-    batch_rows_.clear();
-    first_diff_.clear();
-    for (std::size_t m = 0; m < count; ++m) {
-      const TokenSeq& doc = *docs[m];
-      if (doc.size() != n) {
-        const Vector proba = model_.predict_proba(doc);
-        std::copy(proba.begin(), proba.end(), out.row(rows[m]));
-        continue;
-      }
-      std::size_t first = 0;
-      while (first < n && doc[first] == base_tokens_[first]) ++first;
-      if (first == n) {
-        const Vector proba = model_.proba_from_hidden(h_states_.back());
-        std::copy(proba.begin(), proba.end(), out.row(rows[m]));
-        continue;
-      }
-      batch_rows_.push_back(m);
-      first_diff_.push_back(first);
-    }
-    const std::size_t bcount = batch_rows_.size();
-    if (bcount == 0) return;
-    order_.resize(bcount);
-    for (std::size_t i = 0; i < bcount; ++i) order_[i] = i;
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return first_diff_[a] < first_diff_[b];
-                     });
-    ensure_scratch(bcount, hidden, dim);
-    zx_slot_.resize(bcount);
-    std::size_t active = 0;
-    for (std::size_t t = first_diff_[order_[0]]; t < n; ++t) {
-      while (active < bcount && first_diff_[order_[active]] == t) {
-        std::copy(h_states_[t].begin(), h_states_[t].end(), h_.row(active));
-        std::copy(c_states_[t].begin(), c_states_[t].end(), c_.row(active));
-        ++active;
-      }
-      // Each active row consumes its own token; rows matching the base
-      // token at t share one input pre-activation.
-      std::size_t own = 0;
-      bool any_shared = false;
-      for (std::size_t j = 0; j < active; ++j) {
-        const WordId w = (*docs[batch_rows_[order_[j]]])[t];
-        if (w == base_tokens_[t]) {
-          zx_slot_[j] = bcount;  // sentinel: shared
-          any_shared = true;
-        } else {
-          const float* xt = model_.embedding().vector(w);
-          std::copy(xt, xt + dim, x_.row(own));
-          zx_slot_[j] = own++;
-        }
-      }
-      model_.gate_preact_h(wh_packed_, h_.data(), active, zh_.data());
-      if (own > 0) model_.gate_preact_x(wx_packed_, x_.data(), own, zx_.data());
-      if (any_shared) {
-        model_.gate_preact_x(wx_packed_,
-                             model_.embedding().vector(base_tokens_[t]), 1,
-                             zx_base_.data());
-      }
-      for (std::size_t j = 0; j < active; ++j) {
-        const float* zx = zx_slot_[j] == bcount ? zx_base_.data()
-                                                : zx_.row(zx_slot_[j]);
-        model_.step_from_preact(zx, zh_.row(j), h_.row(j), c_.row(j));
-      }
-    }
-    proba_.resize(bcount * classes);
-    model_.proba_from_hidden_batch(h_.data(), bcount, proba_.data());
-    for (std::size_t j = 0; j < bcount; ++j) {
-      const float* src = proba_.data() + j * classes;
-      std::copy(src, src + classes, out.row(rows[batch_rows_[order_[j]]]));
-    }
-  }
-
- private:
-  void ensure_scratch(std::size_t count, std::size_t hidden,
-                      std::size_t dim) {
-    if (h_.rows() < count || h_.cols() != hidden) {
-      h_ = Matrix(count, hidden);
-      c_ = Matrix(count, hidden);
-      x_ = Matrix(count, dim);
-      zx_ = Matrix(count, 4 * hidden);
-      zh_ = Matrix(count, 4 * hidden);
-    }
-    zx_base_.resize(4 * hidden);
-  }
-
-  void finish_rows(const std::size_t* rows, std::size_t count, Matrix& out) {
-    const std::size_t classes = model_.num_classes();
-    proba_.resize(count * classes);
-    model_.proba_from_hidden_batch(h_.data(), count, proba_.data());
-    for (std::size_t j = 0; j < count; ++j) {
-      const float* src = proba_.data() + j * classes;
-      std::copy(src, src + classes, out.row(rows[order_[j]]));
-    }
-  }
-
-  const LstmClassifier& model_;
-  std::vector<Vector> h_states_;
-  std::vector<Vector> c_states_;
-  PackedB wx_packed_, wh_packed_;
-
-  // Batch scratch, reused across rounds.
-  std::vector<std::size_t> order_;
-  std::vector<std::size_t> batch_rows_;
-  std::vector<std::size_t> first_diff_;
-  std::vector<std::size_t> zx_slot_;
-  Matrix h_, c_, x_, zx_, zh_;
-  Vector zx_base_;
-  Vector proba_;
+  const LstmClassifier& model;
+  PackedB wx, wh;
+  Matrix zh;
 };
 
 }  // namespace
 
 std::unique_ptr<SwapEvaluator> LstmClassifier::make_swap_evaluator(
     const TokenSeq& base) const {
-  return std::make_unique<LstmSwapEvaluatorImpl>(*this, base);
+  return std::make_unique<RecurrentSwapEvaluator<LstmCell>>(*this, base);
 }
 
 }  // namespace advtext

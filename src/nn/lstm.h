@@ -4,10 +4,11 @@
 // both for training and for the per-word input-embedding gradients that
 // drive the attacks.
 //
-// The SwapEvaluator caches the hidden/cell state trajectory of the base
-// document; a candidate that first differs at position p only needs the
-// suffix recurrence from p, roughly halving the cost of the massive
-// candidate sweeps in the greedy attacks.
+// The SwapEvaluator (RecurrentSwapEvaluator, shared with the GRU) caches
+// the hidden/cell state trajectory of the base document; a candidate that
+// first differs at position p only needs the suffix recurrence from p,
+// roughly halving the cost of the massive candidate sweeps in the greedy
+// attacks.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,6 @@ class LstmClassifier final : public TrainableClassifier {
   }
 
   Vector predict_proba(const TokenSeq& tokens) const override;
-  Matrix predict_proba_batch(const std::vector<TokenSeq>& docs) const override;
   Matrix input_gradient(const TokenSeq& tokens, std::size_t target,
                         Vector* proba = nullptr) const override;
   std::unique_ptr<SwapEvaluator> make_swap_evaluator(
@@ -54,35 +54,22 @@ class LstmClassifier final : public TrainableClassifier {
 
   // -- Internal recurrence, exposed for the SwapEvaluator -------------------
 
-  /// One LSTM step: consumes embedding row x (dim D) and state (h, c);
-  /// writes the next state in place.
-  void step(const float* x, Vector& h, Vector& c) const;
-
-  /// Probabilities from a final hidden state.
-  Vector proba_from_hidden(const Vector& h) const;
-
   // Batched recurrence primitives. Every output element is the same
   // ascending-k dot the scalar step computes, so
   //   gate_preact_x + gate_preact_h + step_from_preact == step
-  // bit-for-bit per row; the batched evaluators stack rows so each piece
-  // is one gemm per timestep instead of 8H small dots per candidate.
+  // bit-for-bit per row; the evaluator stacks rows so each piece is one
+  // gemm per timestep instead of 8H small dots per candidate.
 
-  /// zx = X * Wx^T for m stacked embedding rows (m x D -> m x 4H).
-  void gate_preact_x(const float* x, std::size_t m, float* zx) const;
-
-  /// zh = H * Wh^T for m stacked hidden rows (m x H -> m x 4H).
-  void gate_preact_h(const float* h, std::size_t m, float* zh) const;
-
-  /// One-time pack of the gate weights for the packed overloads below.
-  /// The caller owns the buffers and must repack after any weight update;
-  /// the batched evaluators pack at rebase time, when weights are frozen.
+  /// Packs the gate weights for gate_preact_x/h. The caller owns the
+  /// buffers and must repack after any weight update; the evaluator packs
+  /// at rebase time, when weights are frozen.
   void pack_gate_weights(PackedB* wx, PackedB* wh) const;
 
-  /// Bit-identical to the unpacked overloads, minus the per-call repack
-  /// of the weight tile (one recurrent gemm runs per timestep, so that
-  /// repack is the dominant per-call overhead at small batch widths).
+  /// zx = X * Wx^T for m stacked embedding rows (m x D -> m x 4H).
   void gate_preact_x(const PackedB& wx, const float* x, std::size_t m,
                      float* zx) const;
+
+  /// zh = H * Wh^T for m stacked hidden rows (m x H -> m x 4H).
   void gate_preact_h(const PackedB& wh, const float* h, std::size_t m,
                      float* zh) const;
 
@@ -115,6 +102,14 @@ class LstmClassifier final : public TrainableClassifier {
     Vector i, f, g, o, c, tanh_c, h;
   };
 
+  /// One LSTM step: consumes embedding row x (dim D) and state (h, c);
+  /// writes the next state in place. predict_proba's scalar path, the
+  /// independent reference the batched primitives are tested against.
+  void step(const float* x, Vector& h, Vector& c) const;
+
+  /// Probabilities from a final hidden state.
+  Vector proba_from_hidden(const Vector& h) const;
+
   /// Forward pass recording traces; returns final probabilities.
   Vector forward_traced(const TokenSeq& tokens, std::vector<StepTrace>* traces,
                         Matrix* embedded) const;
@@ -125,8 +120,8 @@ class LstmClassifier final : public TrainableClassifier {
   /// gradients) and, when input_grad is non-null, writes dL/dx_t into its
   /// rows. Const: touches no member gradient buffers itself.
   template <typename OnStep>
-  void bptt(const Matrix& embedded, const std::vector<StepTrace>& traces,
-            Vector dh_final, OnStep&& on_step, Matrix* input_grad) const;
+  void bptt(const std::vector<StepTrace>& traces, Vector dh_final,
+            OnStep&& on_step, Matrix* input_grad) const;
 
   LstmConfig config_;
   EmbeddingLayer embedding_;

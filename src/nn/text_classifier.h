@@ -10,8 +10,8 @@
 // The SwapEvaluator extension exposes the structure greedy attacks exploit:
 // consecutive candidate evaluations differ from a base document in a single
 // position, so models can cache per-document state (conv feature maps for
-// the WCNN, hidden-state prefixes for the LSTM) instead of running a full
-// forward per candidate.
+// the WCNN, hidden-state prefixes for the LSTM and GRU) instead of running
+// a full forward per candidate.
 //
 // SwapEvaluator is a non-virtual shell over protected do_* hooks. The shell
 // owns everything the attacks must agree on regardless of model family:
@@ -27,8 +27,9 @@
 //
 // Models implement do_eval_swap / do_eval_tokens (per-candidate) and may
 // override the do_*_batch hooks with stacked-gemm versions; the default
-// batch hooks loop the per-candidate path, so batched and sequential
-// scoring are bit-identical by construction for every model.
+// batch hooks loop the per-candidate path. The WCNN and recurrent
+// evaluators run their per-candidate hooks as one-row batches, so both
+// paths share one implementation.
 #pragma once
 
 #include <cstddef>
@@ -176,9 +177,9 @@ class TextClassifier {
   /// internal mutable RNG, so repeated calls may differ when enabled.
   virtual Vector predict_proba(const TokenSeq& tokens) const = 0;
 
-  /// Batched predict_proba: one row per document, bit-identical to calling
-  /// predict_proba per document (stochastic models consume RNG draws in
-  /// row order). Default loops; models override with stacked gemms.
+  /// Batched predict_proba: one row per document, in row order. This loop
+  /// is the only implementation; it stays virtual so wrappers (perfbench's
+  /// tracing classifier) can intercept it.
   virtual Matrix predict_proba_batch(const std::vector<TokenSeq>& docs) const;
 
   /// Probability of a single class.

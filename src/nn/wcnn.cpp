@@ -139,46 +139,6 @@ Vector WCnn::predict_proba(const TokenSeq& tokens) const {
   return softmax(output_logits(pooled));
 }
 
-Matrix WCnn::predict_proba_batch(const std::vector<TokenSeq>& docs) const {
-  const std::size_t count = docs.size();
-  Matrix out(count, config_.num_classes);
-  if (count == 0) return out;
-  const std::size_t nf = config_.num_filters;
-  // Stack every window of every document; one gemm convolves them all.
-  std::vector<std::size_t> win_start(count + 1);
-  std::vector<Matrix> embedded;
-  embedded.reserve(count);
-  std::size_t total = 0;
-  for (std::size_t m = 0; m < count; ++m) {
-    embedded.push_back(embedding_.lookup(padded(docs[m])));
-    win_start[m] = total;
-    total += embedded[m].rows() - config_.kernel + 1;
-  }
-  win_start[count] = total;
-  Matrix windows(total, config_.kernel * config_.embed_dim);
-  for (std::size_t m = 0; m < count; ++m) {
-    im2col(embedded[m], config_.kernel, windows.row(win_start[m]));
-  }
-  Matrix preact(total, nf);
-  window_preact_batch(windows.data(), total, preact.data());
-  // Pool + (in document order, for the RNG stream) MC dropout.
-  Matrix pooled(count, nf);
-  for (std::size_t m = 0; m < count; ++m) {
-    float* prow = pooled.row(m);
-    std::fill(prow, prow + nf, -std::numeric_limits<float>::infinity());
-    for (std::size_t w = win_start[m]; w < win_start[m + 1]; ++w) {
-      const float* row = preact.row(w);
-      for (std::size_t f = 0; f < nf; ++f) {
-        const float a = std::max(0.0f, row[f]);  // ReLU
-        if (a > prow[f]) prow[f] = a;
-      }
-    }
-    apply_mc_dropout(prow, nf);
-  }
-  proba_from_pooled_batch(pooled.data(), count, out.data());
-  return out;
-}
-
 Matrix WCnn::input_gradient(const TokenSeq& tokens, std::size_t target,
                             Vector* proba) const {
   ADVTEXT_CHECK_SHAPE(target < config_.num_classes) << "WCnn::input_gradient: target out of range";

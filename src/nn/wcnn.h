@@ -45,7 +45,6 @@ class WCnn final : public TrainableClassifier {
   }
 
   Vector predict_proba(const TokenSeq& tokens) const override;
-  Matrix predict_proba_batch(const std::vector<TokenSeq>& docs) const override;
   Matrix input_gradient(const TokenSeq& tokens, std::size_t target,
                         Vector* proba = nullptr) const override;
   std::unique_ptr<SwapEvaluator> make_swap_evaluator(

@@ -29,6 +29,7 @@
 #include "src/util/robust.h"
 #include "src/util/rng.h"
 #include "src/util/stop_token.h"
+#include "tests/ulp.h"
 
 namespace advtext {
 namespace {
@@ -54,16 +55,20 @@ std::vector<std::unique_ptr<TextClassifier>> all_models() {
   wcnn.embed_dim = task().config.embedding_dim;
   wcnn.num_filters = 24;
   models.push_back(std::make_unique<WCnn>(wcnn, Matrix(task().paragram)));
-  LstmConfig lstm;
-  lstm.embed_dim = task().config.embedding_dim;
-  lstm.hidden = 16;
-  models.push_back(
-      std::make_unique<LstmClassifier>(lstm, Matrix(task().paragram)));
-  GruConfig gru;
-  gru.embed_dim = task().config.embedding_dim;
-  gru.hidden = 16;
-  models.push_back(
-      std::make_unique<GruClassifier>(gru, Matrix(task().paragram)));
+  // The recurrent families at hidden 16 and at an odd width (7), whose
+  // gate passes and 4H- or 3H-wide gemms end in partial vector tails.
+  for (const std::size_t hidden : {16, 7}) {
+    LstmConfig lstm;
+    lstm.embed_dim = task().config.embedding_dim;
+    lstm.hidden = hidden;
+    models.push_back(
+        std::make_unique<LstmClassifier>(lstm, Matrix(task().paragram)));
+    GruConfig gru;
+    gru.embed_dim = task().config.embedding_dim;
+    gru.hidden = hidden;
+    models.push_back(
+        std::make_unique<GruClassifier>(gru, Matrix(task().paragram)));
+  }
   BowClassifierConfig bow;
   bow.vocab_size = static_cast<std::size_t>(task().vocab.size());
   models.push_back(std::make_unique<BowClassifier>(bow));
@@ -83,24 +88,8 @@ void expect_rows_equal(const Matrix& scores, std::size_t row,
   }
 }
 
-// Distance in units in the last place between two finite floats of one
-// sign (class probabilities are positive).
-std::int64_t ulp_distance(float a, float b) {
-  std::int32_t ia = 0;
-  std::int32_t ib = 0;
-  std::memcpy(&ia, &a, sizeof(ia));
-  std::memcpy(&ib, &b, sizeof(ib));
-  return std::abs(static_cast<std::int64_t>(ia) - ib);
-}
-
-// The full forward is the reference for every family. Its contract is
-// exact, except for the BoW evaluator's swaps: they add one weight
-// difference to the base's logits, which rounds differently from
-// predict_proba's sum over all tokens. Those rows are held to a stated
-// bound in units in the last place instead (the largest distance seen on
-// these tests is 1).
-constexpr std::int64_t kBowSwapUlps = 4;
-
+// The full forward is the reference for every family: exact, except for
+// BoW swaps (kBowSwapUlps, tests/ulp.h).
 std::int64_t swap_ulps(const TextClassifier& model) {
   return dynamic_cast<const BowClassifier*>(&model) != nullptr ? kBowSwapUlps
                                                                : 0;

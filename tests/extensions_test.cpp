@@ -17,6 +17,7 @@
 #include "src/nn/gru.h"
 #include "src/nn/trainer.h"
 #include "src/optim/submodular.h"
+#include "tests/ulp.h"
 
 namespace advtext {
 namespace {
@@ -112,18 +113,15 @@ TEST(Gru, SwapEvaluatorMatchesFullForward) {
   for (std::size_t pos = 0; pos < base.size(); ++pos) {
     TokenSeq swapped = base;
     swapped[pos] = 15;
-    EXPECT_NEAR(evaluator->eval_swap(pos, 15)[0],
-                model.predict_proba(swapped)[0], 1e-5)
+    EXPECT_EQ(evaluator->eval_swap(pos, 15), model.predict_proba(swapped))
         << "pos " << pos;
   }
   // Multi-position and identical-tokens paths.
   TokenSeq multi = base;
   multi[1] = 9;
   multi[4] = 11;
-  EXPECT_NEAR(evaluator->eval_tokens(multi)[0],
-              model.predict_proba(multi)[0], 1e-6);
-  EXPECT_NEAR(evaluator->eval_tokens(base)[0],
-              model.predict_proba(base)[0], 1e-6);
+  EXPECT_EQ(evaluator->eval_tokens(multi), model.predict_proba(multi));
+  EXPECT_EQ(evaluator->eval_tokens(base), model.predict_proba(base));
 }
 
 TEST(Gru, LearnsSeparableTask) {
@@ -189,8 +187,13 @@ TEST(Bow, SwapEvaluatorMatchesFullForward) {
   for (std::size_t pos = 0; pos < base.size(); ++pos) {
     TokenSeq swapped = base;
     swapped[pos] = 9;
-    EXPECT_NEAR(evaluator->eval_swap(pos, 9)[1],
-                model.predict_proba(swapped)[1], 1e-6);
+    const Vector got = evaluator->eval_swap(pos, 9);
+    const Vector want = model.predict_proba(swapped);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      EXPECT_LE(ulp_distance(got[c], want[c]), kBowSwapUlps)
+          << "pos " << pos << " class " << c;
+    }
   }
 }
 

@@ -170,9 +170,8 @@ TEST(Lstm, SwapEvaluatorMatchesFullForward) {
   for (std::size_t pos = 0; pos < base.size(); ++pos) {
     TokenSeq swapped = base;
     swapped[pos] = 15;
-    const Vector expected = model.predict_proba(swapped);
-    const Vector got = evaluator->eval_swap(pos, 15);
-    EXPECT_NEAR(got[0], expected[0], 1e-5) << "pos " << pos;
+    EXPECT_EQ(evaluator->eval_swap(pos, 15), model.predict_proba(swapped))
+        << "pos " << pos;
   }
 }
 
@@ -184,9 +183,7 @@ TEST(Lstm, SwapEvaluatorHandlesLengthChange) {
   TokenSeq base = {2, 7, 12, 17};
   auto evaluator = model.make_swap_evaluator(base);
   const TokenSeq longer = {2, 7, 12, 17, 5, 6};
-  const Vector expected = model.predict_proba(longer);
-  const Vector got = evaluator->eval_tokens(longer);
-  EXPECT_NEAR(got[0], expected[0], 1e-6);
+  EXPECT_EQ(evaluator->eval_tokens(longer), model.predict_proba(longer));
 }
 
 TEST(Lstm, SwapEvaluatorIdenticalTokensMatchesBase) {
@@ -196,9 +193,7 @@ TEST(Lstm, SwapEvaluatorIdenticalTokensMatchesBase) {
   LstmClassifier model(config, small_embeddings(20, 4, 12));
   TokenSeq base = {2, 7, 12};
   auto evaluator = model.make_swap_evaluator(base);
-  const Vector expected = model.predict_proba(base);
-  const Vector got = evaluator->eval_tokens(base);
-  EXPECT_NEAR(got[0], expected[0], 1e-6);
+  EXPECT_EQ(evaluator->eval_tokens(base), model.predict_proba(base));
 }
 
 TEST(Trainer, WCnnLearnsSeparableTask) {

@@ -22,6 +22,7 @@
 #include "src/nn/lstm.h"
 #include "src/nn/trainer.h"
 #include "src/nn/wcnn.h"
+#include "tests/ulp.h"
 
 namespace advtext {
 namespace {
@@ -317,16 +318,25 @@ TEST_P(SwapEquivalenceTest, EvaluatorMatchesFullForwardEverywhere) {
   }
   const TokenSeq base = {2, 7, 12, 17, 21, 3, 9, 14};
   auto evaluator = model->make_swap_evaluator(base);
+  // Exact, except BoW swaps (kBowSwapUlps, tests/ulp.h).
+  const std::int64_t ulps =
+      GetParam() == VictimKind::kBow ? kBowSwapUlps : 0;
+  const auto expect_swap = [&](std::size_t pos, WordId cand,
+                               const TokenSeq& swapped) {
+    const Vector expected = model->predict_proba(swapped);
+    const Vector got = evaluator->eval_swap(pos, cand);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t c = 0; c < expected.size(); ++c) {
+      EXPECT_LE(ulp_distance(got[c], expected[c]), ulps)
+          << "pos " << pos << " cand " << cand << ": " << got[c] << " vs "
+          << expected[c];
+    }
+  };
   for (std::size_t pos = 0; pos < base.size(); ++pos) {
     for (WordId cand : {4, 11, 19}) {
       TokenSeq swapped = base;
       swapped[pos] = cand;
-      const Vector expected = model->predict_proba(swapped);
-      const Vector got = evaluator->eval_swap(pos, cand);
-      for (std::size_t c = 0; c < expected.size(); ++c) {
-        EXPECT_NEAR(got[c], expected[c], 1e-5)
-            << "pos " << pos << " cand " << cand;
-      }
+      expect_swap(pos, cand, swapped);
     }
   }
   // Rebase and re-verify (the loop greedy attacks run).
@@ -335,8 +345,7 @@ TEST_P(SwapEquivalenceTest, EvaluatorMatchesFullForwardEverywhere) {
   evaluator->rebase(rebased);
   TokenSeq swapped = rebased;
   swapped[6] = 5;
-  EXPECT_NEAR(evaluator->eval_swap(6, 5)[0],
-              model->predict_proba(swapped)[0], 1e-5);
+  expect_swap(6, 5, swapped);
 }
 
 INSTANTIATE_TEST_SUITE_P(Victims, SwapEquivalenceTest,
