@@ -189,20 +189,6 @@ inline void configure_attack_parallelism(AttackEvalConfig& config,
   }
 }
 
-/// Scoring-path label for the A/B comparison rows: ADVTEXT_BENCH_SCORING=
-/// "seed" selects the per-candidate evaluator path (one row per call),
-/// anything else (default) the batched one-gemm-per-layer path. Both
-/// produce bitwise-identical attack results; only the wall clock differs.
-inline const char* scoring_mode() {
-  const char* env = std::getenv("ADVTEXT_BENCH_SCORING");
-  return env != nullptr && std::string(env) == "seed" ? "seed" : "batched";
-}
-
-/// Flips the global sequential-scoring switch from ADVTEXT_BENCH_SCORING.
-inline void configure_scoring() {
-  set_sequential_scoring(std::string(scoring_mode()) == "seed");
-}
-
 /// Ordered parallel map: computes fn(worker, index) for every index in
 /// [0, n) on up to `threads` pool workers and returns the results in index
 /// order. Workers self-dispatch from a shared cursor, so per-index work may
@@ -264,23 +250,19 @@ struct BenchJsonRecord {
   /// not a performance claim (those come from perfbench).
   double wall_seconds = 0.0;
   double success_rate = 0.0;
-  /// Classifier queries of the sweep's attacks, summed over documents,
-  /// and the scoring path the row was measured on ("batched" or "seed").
+  /// Classifier queries of the sweep's attacks, summed over documents.
   std::size_t queries = 0;
-  std::string scoring = "batched";
   /// crc32 of the sweep's committed records (see fill_scoring_stats);
   /// unset for benches that do not run evaluate_attack.
   std::optional<std::uint32_t> records_crc = std::nullopt;
 };
 
-/// Copies a sweep's query total, record digest and the active scoring-path
-/// label into a JSON row (every attack-sweep row should carry them so the
-/// batched and seed measurements are distinguishable inside one artifact).
-/// `records` holds the sweep's committed DocRecords in the wire encoding
-/// that `advtext_cli attack --records-out` writes (write_record from the
-/// config's on_commit; timing excluded). Equal digests mean byte-identical
-/// records, so serial, parallel and seed-scoring runs of one cell must
-/// agree on records_crc.
+/// Copies a sweep's query total and record digest into a JSON row (every
+/// attack-sweep row should carry them). `records` holds the sweep's
+/// committed DocRecords in the wire encoding that `advtext_cli attack
+/// --records-out` writes (write_record from the config's on_commit; timing
+/// excluded). Equal digests mean byte-identical records, so serial and
+/// parallel runs of one cell must agree on records_crc.
 inline void fill_scoring_stats(BenchJsonRecord& record,
                                const AttackEvalResult& result,
                                const std::ostringstream& records) {
@@ -290,7 +272,6 @@ inline void fill_scoring_stats(BenchJsonRecord& record,
   }
   const std::string bytes = records.str();
   record.records_crc = io::crc32(bytes.data(), bytes.size());
-  record.scoring = scoring_mode();
 }
 
 /// Appends `record` as one JSON object per line to the path named by
@@ -318,11 +299,10 @@ inline void append_bench_json(const BenchJsonRecord& record) {
       out,
       "{\"bench\":\"%s\",\"config\":\"%s\",\"threads\":%zu,\"shards\":%zu,"
       "\"docs\":%zu,\"wall_seconds\":%.6f,\"success_rate\":%.4f,"
-      "\"queries\":%zu,%s\"scoring\":\"%s\",\"hardware_threads\":%zu}\n",
+      "\"queries\":%zu,%s\"hardware_threads\":%zu}\n",
       record.bench.c_str(), record.config.c_str(), record.threads,
       record.shards, record.docs, finite(record.wall_seconds),
-      finite(record.success_rate), record.queries, crc,
-      record.scoring.c_str(), hardware_threads());
+      finite(record.success_rate), record.queries, crc, hardware_threads());
   std::fclose(out);
 }
 

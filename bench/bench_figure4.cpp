@@ -25,7 +25,6 @@ int main() {
       "Figure 4: LSTM attack success rate vs sentence ratio (columns) and "
       "word ratio (rows)");
   const std::size_t docs = docs_per_config(25);
-  configure_scoring();
   const double sentence_ratios[] = {0.0, 0.2, 0.4, 0.6};
   const double word_ratios[] = {0.0, 0.1, 0.2, 0.3};
 

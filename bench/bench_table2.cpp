@@ -48,7 +48,6 @@ int main() {
       "Table 2: classifier accuracy, clean vs adversarial "
       "(ours: joint, lw=20%; [19]*: word-only greedy, lw=50%)");
   const std::size_t docs = docs_per_config(30);
-  configure_scoring();
 
   TablePrinter table({"Dataset", "Model", "Origin", "ADV(ours)", "ADV[19]*",
                       "paper:Origin", "paper:ours", "paper:[19]*"},

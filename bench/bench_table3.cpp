@@ -170,7 +170,6 @@ constexpr PaperCell kPaperCells[] = {
 
 int main() {
   const std::size_t docs = docs_per_config(30);
-  configure_scoring();
   // Two blocks: the paper runs this comparison with 5% MC dropout at
   // inference (§6.4). On our scaled substrate that noise level swamps the
   // per-swap gains of *every* function-evaluation attack (the paper's
@@ -206,7 +205,6 @@ int main() {
               attack_threads(), 1, stats.attacked, watch.elapsed_seconds(),
               stats.success_rate};
           row.queries = stats.total_queries;
-          row.scoring = scoring_mode();
           append_bench_json(row);
           const PaperCell* paper = nullptr;
           for (const PaperCell& cell : kPaperCells) {

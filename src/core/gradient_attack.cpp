@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/score_round.h"
 #include "src/util/det_accum.h"
 #include "src/util/stopwatch.h"
 
@@ -24,23 +25,25 @@ WordAttackResult gradient_attack(const TextClassifier& model,
   const Matrix& table = model.embedding_table();
   const std::size_t dim = model.embedding_dim();
 
-  bool out_of_time = false;
-  bool out_of_budget = false;
+  BatchStatus stop;
   Vector proba;
   for (std::size_t round = 0; round < std::max<std::size_t>(1, config.rounds);
        ++round) {
     // The per-round work is gradient-dominated (no per-candidate forward
-    // passes), so round granularity is the natural check point.
-    if ((out_of_time = control.deadline.expired())) break;
-    if ((out_of_budget = control.budget_exhausted())) break;
+    // passes), so round granularity is the natural check point. A round
+    // ends on an unscored proposal, so it starts only if the budget can
+    // admit both its gradient call and the verification after it.
+    if ((stop.out_of_time = control.deadline.expired())) break;
+    if ((stop.out_of_budget = control.budget_remaining() < 2)) break;
     const std::size_t already_changed = count_changes(tokens,
                                                       result.adv_tokens);
     if (already_changed >= budget) break;
 
+    if ((stop.out_of_budget = !control.try_charge())) break;
+    ++result.forwards;
     const Matrix grad =
         model.input_gradient(result.adv_tokens, target, &proba);
     ++result.gradient_calls;
-    control.charge(1);  // a gradient call embeds one forward pass
     ++result.iterations;
     if (proba[target] >= config.success_threshold) break;
 
@@ -119,22 +122,14 @@ WordAttackResult gradient_attack(const TextClassifier& model,
     result.adv_tokens = std::move(proposal);
   }
 
-  if (out_of_time) {
-    result.termination = TerminationReason::kDeadlineExceeded;
-  } else if (out_of_budget) {
-    result.termination = TerminationReason::kBudgetExhausted;
+  // The verification is this attack's one counted query; only an attack
+  // entered with a spent budget is refused it, and reports no score.
+  if (const auto verified =
+          score_forward(model, result.adv_tokens, target, control, result)) {
+    result.final_target_proba = *verified;
+    ++result.queries;
   }
-  result.final_target_proba =
-      model.class_probability(result.adv_tokens, target);
-  ++result.queries;
-  control.charge(1);
-  // Every charge here is explicit (gradient calls + the verification
-  // forward above); record them so callers can reconcile the budget.
-  if (control.budget != nullptr) {
-    result.budget_charged = result.gradient_calls + 1;
-  }
-  result.success = result.final_target_proba >= config.success_threshold;
-  if (result.success) result.termination = TerminationReason::kSucceeded;
+  finish(result, stop, config.success_threshold);
   result.words_changed = count_changes(tokens, result.adv_tokens);
   result.seconds = watch.elapsed_seconds();
   return result;

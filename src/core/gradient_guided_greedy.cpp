@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/score_round.h"
 #include "src/util/det_accum.h"
 #include "src/util/stopwatch.h"
 
@@ -21,29 +22,32 @@ WordAttackResult gradient_guided_greedy_attack(
       std::ceil(config.max_replace_fraction * static_cast<double>(n)));
 
   auto evaluator = model.make_swap_evaluator(result.adv_tokens);
-  // The shell charges the budget per evaluated row and polls the deadline
-  // per row; gradient calls still charge their embedded forward explicitly.
+  // The shell admits every evaluated row and polls the deadline per row; a
+  // gradient call embeds one forward, which the attack admits itself.
   evaluator->bind_control(&control);
   std::vector<bool> replaced(n, false);
   Vector proba;
+  // The score of the current state, once a gradient call or a committed
+  // candidate has given one; the verification falls back on it.
+  double held = 0.0;
 
-  bool out_of_time = false;
-  bool out_of_budget = false;
+  BatchStatus stop;
   std::vector<TokenSeq> trial;
-  Matrix trial_scores;
 
   while (result.iterations < config.max_iterations) {
-    if ((out_of_time = control.deadline.expired())) break;
-    if ((out_of_budget = control.budget_exhausted())) break;
+    if ((stop.out_of_time = control.deadline.expired())) break;
+    if ((stop.out_of_budget = control.budget_exhausted())) break;
     const std::size_t changed = count_changes(tokens, result.adv_tokens);
     if (changed >= budget) break;
 
     // Step 4: Gauss–Southwell scores from the input gradient.
+    if ((stop.out_of_budget = !control.try_charge())) break;
+    ++result.forwards;
     const Matrix grad =
         model.input_gradient(result.adv_tokens, target, &proba);
     ++result.gradient_calls;
-    control.charge(1);  // a gradient call embeds one forward pass
-    if (proba[target] >= config.success_threshold) break;
+    held = proba[target];
+    if (held >= config.success_threshold) break;
     ++result.iterations;
 
     struct Scored {
@@ -87,15 +91,13 @@ WordAttackResult gradient_guided_greedy_attack(
       double proba;
     };
     std::vector<Candidate> pool;
-    pool.push_back({result.adv_tokens, proba[target]});
-    for (std::size_t t = 0; t < take && !out_of_time && !out_of_budget;
-         ++t) {
+    pool.push_back({result.adv_tokens, held});
+    for (std::size_t t = 0; t < take && !stop.truncated(); ++t) {
       const std::size_t pos = scores[t].pos;
       // Materialize every expansion of the current pool at this position
-      // and score them through batched evaluator calls — one gemm per
-      // layer per chunk. A limit hit abandons the expansion mid-batch;
-      // already-scored pool members (and already-evaluated rows) are
-      // still eligible for the commit below (best-so-far semantics).
+      // and score them as one round. A limit hit abandons the expansion
+      // mid-round; already-scored pool members (and already-evaluated rows)
+      // are still eligible for the commit below (best-so-far semantics).
       trial.clear();
       for (const Candidate& base : pool) {
         for (WordId cand : candidates.per_position[pos]) {
@@ -105,22 +107,10 @@ WordAttackResult gradient_guided_greedy_attack(
         }
       }
       std::vector<Candidate> expanded;
-      for (std::size_t off = 0;
-           off < trial.size() && !out_of_time && !out_of_budget;
-           off += kScoreChunkRows) {
-        const std::size_t len = std::min(kScoreChunkRows, trial.size() - off);
-        const BatchStatus status =
-            evaluator->eval_tokens_batch(trial.data() + off, len,
-                                         trial_scores);
-        for (std::size_t i = 0; i < status.evaluated; ++i) {
-          Candidate next;
-          next.tokens = std::move(trial[off + i]);
-          next.proba = trial_scores(i, target);
-          expanded.push_back(std::move(next));
-        }
-        out_of_time = status.out_of_time;
-        out_of_budget = status.out_of_budget;
-      }
+      score_round(*evaluator, trial, target, stop,
+                  [&](std::size_t i, double p) {
+                    expanded.push_back({std::move(trial[i]), p});
+                  });
       pool.insert(pool.end(), std::make_move_iterator(expanded.begin()),
                   std::make_move_iterator(expanded.end()));
       if (config.beam_cap > 0 && pool.size() > config.beam_cap) {
@@ -145,28 +135,18 @@ WordAttackResult gradient_guided_greedy_attack(
       if (best->tokens[i] != result.adv_tokens[i]) replaced[i] = true;
     }
     result.adv_tokens = best->tokens;
+    held = best->proba;
     evaluator->rebase(result.adv_tokens);
-    if (best->proba >= config.success_threshold) break;
-    if (out_of_time || out_of_budget) break;
+    if (held >= config.success_threshold) break;
+    if (stop.truncated()) break;
   }
 
-  if (out_of_time) {
-    result.termination = TerminationReason::kDeadlineExceeded;
-  } else if (out_of_budget) {
-    result.termination = TerminationReason::kBudgetExhausted;
-  }
   result.queries = evaluator->queries();
-  result.budget_charged = evaluator->budget_charged();
+  result.forwards += evaluator->queries();
   result.final_target_proba =
-      model.class_probability(result.adv_tokens, target);
-  control.charge(1);
-  // Gradient calls and the final verification forward charge the budget
-  // directly (charge() no-ops without one, so mirror that here).
-  if (control.budget != nullptr) {
-    result.budget_charged += result.gradient_calls + 1;
-  }
-  result.success = result.final_target_proba >= config.success_threshold;
-  if (result.success) result.termination = TerminationReason::kSucceeded;
+      score_forward(model, result.adv_tokens, target, control, result)
+          .value_or(held);
+  finish(result, stop, config.success_threshold);
   result.words_changed = count_changes(tokens, result.adv_tokens);
   result.seconds = watch.elapsed_seconds();
   return result;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "src/core/score_round.h"
 #include "src/util/robust.h"
 #include "src/util/stopwatch.h"
 
@@ -15,21 +16,15 @@ JointAttackResult joint_attack(const TextClassifier& model,
   JointAttackResult result;
   result.adv_doc = doc;
 
-  // Both phases draw on one shared deadline and query budget; the phase
-  // terminations are folded together with worse_of below.
+  // Both phases draw on one shared deadline and query budget; each phase's
+  // outcome is folded into the total (AttackStats::fold).
   QueryBudget budget(config.max_queries);
   AttackControl control;
   if (config.deadline_ms > 0.0) {
     control.deadline = Deadline::after_ms(config.deadline_ms);
   }
   control.budget = &budget;
-  // Every query charge flows through `budget`; the phases report what they
-  // charged, so the shared pool must reconcile exactly at every exit.
-  const auto reconcile = [&budget](const JointAttackResult& r) {
-    ADVTEXT_DCHECK(budget.used() == r.budget_charged)
-        << "joint_attack: budget drift (" << budget.used()
-        << " used != " << r.budget_charged << " charged)";
-  };
+  bool scored = false;  // whether a phase has scored the document
 
   // ---- Phase 1: sentence paraphrasing (Alg. 1 steps 2-5) ----
   if (config.enable_sentence && config.sentence_fraction > 0.0) {
@@ -47,24 +42,18 @@ JointAttackResult joint_attack(const TextClassifier& model,
         control);
     result.adv_doc = sentence_result.adv_doc;
     result.sentences_changed = sentence_result.sentences_changed;
-    result.queries += sentence_result.queries;
-    result.budget_charged += sentence_result.budget_charged;
-    result.final_target_proba = sentence_result.final_target_proba;
-    result.termination =
-        worse_of(result.termination, sentence_result.termination);
-    if (sentence_result.success) {
-      result.success = true;
-      result.termination = TerminationReason::kSucceeded;
-      result.seconds = watch.elapsed_seconds();
-      reconcile(result);
-      return result;
-    }
+    result.fold(sentence_result);
+    scored = true;
   }
 
   // ---- Phase 2: word paraphrasing (Alg. 1 steps 6-9) ----
-  const bool limits_hit =
-      control.deadline.expired() || control.budget_exhausted();
-  if (config.enable_word && config.word_fraction > 0.0 && !limits_hit) {
+  // The limit, if any, that the sentence phase (or the deadline itself)
+  // used up before the word phase could start.
+  BatchStatus stop;
+  stop.out_of_time = control.deadline.expired();
+  stop.out_of_budget = !stop.out_of_time && control.budget_exhausted();
+  if (!result.success && config.enable_word && config.word_fraction > 0.0 &&
+      !stop.truncated()) {
     if (resources.word_index == nullptr) {
       throw std::invalid_argument(
           "joint_attack: word phase needs a paraphrase index");
@@ -138,39 +127,26 @@ JointAttackResult joint_attack(const TextClassifier& model,
         for (WordId& word : sentence) word = word_result.adv_tokens[flat++];
       }
       result.words_changed = word_result.words_changed;
-      result.queries += word_result.queries;
-      result.budget_charged += word_result.budget_charged;
-      result.final_target_proba = word_result.final_target_proba;
-      result.success = word_result.success;
-      result.termination = word_result.success
-                               ? TerminationReason::kSucceeded
-                               : worse_of(result.termination,
-                                          word_result.termination);
-      result.seconds = watch.elapsed_seconds();
-      reconcile(result);
-      return result;
+      result.fold(word_result);
+      scored = true;
     }
   }
 
-  if (limits_hit) {
-    // The sentence phase (or the deadline itself) consumed the limits
-    // before the word phase could start.
-    result.termination = worse_of(
-        result.termination, control.deadline.expired()
-                                ? TerminationReason::kDeadlineExceeded
-                                : TerminationReason::kBudgetExhausted);
+  if (!scored) {
+    // No phase ran: verify the document itself (a counted query).
+    if (const auto verified = score_forward(model, result.adv_doc.flatten(),
+                                            target, control, result)) {
+      result.final_target_proba = *verified;
+      ++result.queries;
+    }
   }
-  if (result.final_target_proba == 0.0) {
-    result.final_target_proba =
-        model.class_probability(result.adv_doc.flatten(), target);
-    ++result.queries;
-    control.charge(1);  // the verification eval draws on the shared budget
-    ++result.budget_charged;
-  }
-  result.success = result.final_target_proba >= config.success_threshold;
-  if (result.success) result.termination = TerminationReason::kSucceeded;
+  finish(result, stop, config.success_threshold);
   result.seconds = watch.elapsed_seconds();
-  reconcile(result);
+  // Every forward was admitted by `budget`, and each phase tallied what it
+  // admitted, so the shared pool reconciles exactly.
+  ADVTEXT_DCHECK(budget.used() == result.forwards)
+      << "joint_attack: budget drift (" << budget.used()
+      << " used != " << result.forwards << " forwards)";
   return result;
 }
 

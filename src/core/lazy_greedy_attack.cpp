@@ -1,9 +1,9 @@
 #include "src/core/lazy_greedy_attack.h"
 
-#include <algorithm>
 #include <cmath>
 #include <queue>
 
+#include "src/core/score_round.h"
 #include "src/util/stopwatch.h"
 
 namespace advtext {
@@ -33,10 +33,9 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
   };
   std::priority_queue<Entry> heap;
   // Initial exact gains from the clean document (round 0): the whole
-  // candidate set is known up front, so score it through batched evaluator
-  // calls (one gemm per layer per chunk) and push in the same (pos, word)
-  // order the per-candidate loop used. The lazy per-round refreshes below
-  // stay sequential — each pop depends on the previous one's result.
+  // candidate set is known up front, so score it as one round and push in
+  // (pos, word) order. The lazy per-round refreshes below stay sequential —
+  // each pop depends on the previous one's result.
   std::vector<SwapCandidate> initial;
   for (std::size_t pos = 0; pos < n; ++pos) {
     for (WordId cand : candidates.per_position[pos]) {
@@ -44,16 +43,11 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
       initial.push_back({pos, cand});
     }
   }
-  Matrix scores;
-  for (std::size_t off = 0; off < initial.size(); off += kScoreChunkRows) {
-    const std::size_t len = std::min(kScoreChunkRows, initial.size() - off);
-    const BatchStatus status =
-        evaluator->eval_swap_batch(initial.data() + off, len, scores);
-    for (std::size_t i = 0; i < status.evaluated; ++i) {
-      const double gain = scores(i, target) - current;
-      heap.push({gain, initial[off + i].pos, initial[off + i].word, 0});
-    }
-  }
+  BatchStatus unbounded;  // no control is bound: every row is admitted
+  score_round(*evaluator, initial, target, unbounded,
+              [&](std::size_t i, double p) {
+                heap.push({p - current, initial[i].pos, initial[i].word, 0});
+              });
 
   std::size_t round = 0;
   while (current < config.success_threshold &&
@@ -93,7 +87,6 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
   }
 
   result.queries = evaluator->queries();
-  result.budget_charged = evaluator->budget_charged();
   result.final_target_proba =
       model.class_probability(result.adv_tokens, target);
   result.success = result.final_target_proba >= config.success_threshold;

@@ -1,13 +1,10 @@
 #include "src/nn/text_classifier.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace advtext {
 
 namespace {
-
-std::atomic<bool> g_sequential_scoring{false};
 
 /// Fallback evaluator: one full forward pass per candidate.
 class FullForwardEvaluator : public SwapEvaluator {
@@ -38,14 +35,6 @@ class FullForwardEvaluator : public SwapEvaluator {
 
 }  // namespace
 
-void set_sequential_scoring(bool sequential) {
-  g_sequential_scoring.store(sequential, std::memory_order_relaxed);
-}
-
-bool sequential_scoring() {
-  return g_sequential_scoring.load(std::memory_order_relaxed);
-}
-
 // ---- SwapEvaluator shell ---------------------------------------------------
 
 void SwapEvaluator::rebase(const TokenSeq& tokens) {
@@ -57,25 +46,32 @@ void SwapEvaluator::bind_control(const AttackControl* control) {
   control_ = control;
 }
 
-void SwapEvaluator::count_query() {
+bool SwapEvaluator::admit_row() {
+  if (control_ != nullptr && !control_->try_charge()) return false;
   ++queries_;
-  if (control_ != nullptr && control_->budget != nullptr) {
-    control_->charge(1);
-    ++charged_;
-  }
+  return true;
 }
 
 Vector SwapEvaluator::eval_swap(std::size_t pos, WordId candidate) {
   ADVTEXT_CHECK_SHAPE(pos < base_tokens_.size())
       << "eval_swap: position " << pos << " out of range for base of "
       << base_tokens_.size() << " tokens";
-  count_query();
+  const bool admitted = admit_row();
+  ADVTEXT_CHECK(admitted) << "eval_swap: the bound query budget is spent";
   return do_eval_swap(pos, candidate);
 }
 
 Vector SwapEvaluator::eval_tokens(const TokenSeq& tokens) {
-  count_query();
-  return do_eval_tokens(tokens);
+  Vector out;
+  const bool admitted = try_eval_tokens(tokens, out);
+  ADVTEXT_CHECK(admitted) << "eval_tokens: the bound query budget is spent";
+  return out;
+}
+
+bool SwapEvaluator::try_eval_tokens(const TokenSeq& tokens, Vector& out) {
+  if (!admit_row()) return false;
+  out = do_eval_tokens(tokens);
+  return true;
 }
 
 BatchStatus SwapEvaluator::admit(std::size_t count, Matrix& out) {
@@ -83,20 +79,18 @@ BatchStatus SwapEvaluator::admit(std::size_t count, Matrix& out) {
   if (out.rows() != count || out.cols() != classes) {
     out = Matrix(count, classes);
   }
-  // The seed per-candidate loop's control checks, in its order, so a
-  // limit truncates at the same logical query index as the sequential
-  // path and is classified deadline-first.
+  // Deadline first, then the budget, so a limit is classified the same
+  // way at any batch width.
   BatchStatus status;
   for (; status.evaluated < count; ++status.evaluated) {
     if (control_ != nullptr && control_->deadline.expired()) {
       status.out_of_time = true;
       break;
     }
-    if (control_ != nullptr && control_->budget_exhausted()) {
+    if (!admit_row()) {
       status.out_of_budget = true;
       break;
     }
-    count_query();
   }
   while (rows_.size() < status.evaluated) rows_.push_back(rows_.size());
   return status;
@@ -111,12 +105,7 @@ BatchStatus SwapEvaluator::eval_swap_batch(const SwapCandidate* candidates,
   }
   const BatchStatus status = admit(count, out);
   if (status.evaluated == 0) return status;
-  if (sequential_scoring()) {
-    SwapEvaluator::do_eval_swap_batch(candidates, rows_.data(),
-                                      status.evaluated, out);
-  } else {
-    do_eval_swap_batch(candidates, rows_.data(), status.evaluated, out);
-  }
+  do_eval_swap_batch(candidates, rows_.data(), status.evaluated, out);
   return status;
 }
 
@@ -131,12 +120,7 @@ BatchStatus SwapEvaluator::eval_tokens_batch(const TokenSeq* docs,
   if (status.evaluated == 0) return status;
   docs_.resize(status.evaluated);
   for (std::size_t i = 0; i < status.evaluated; ++i) docs_[i] = &docs[i];
-  if (sequential_scoring()) {
-    SwapEvaluator::do_eval_tokens_batch(docs_.data(), rows_.data(),
-                                        status.evaluated, out);
-  } else {
-    do_eval_tokens_batch(docs_.data(), rows_.data(), status.evaluated, out);
-  }
+  do_eval_tokens_batch(docs_.data(), rows_.data(), status.evaluated, out);
   return status;
 }
 

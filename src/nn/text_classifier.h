@@ -17,13 +17,11 @@
 // owns everything the attacks must agree on regardless of model family:
 //   * query counting: every evaluated row is one query, whichever entry
 //     point scored it (a repeat or an in-batch duplicate included);
-//   * the single QueryBudget charge point: each counted query charges 1,
-//     and nothing else in the attack loop touches the budget for
-//     evaluator queries;
-//   * deadline/budget truncation for batched sweeps, replicating the
-//     seed per-candidate loop semantics (deadline, then budget, checked
-//     before every row; a truncated batch returns the number of rows
-//     actually evaluated).
+//   * row admission: each row is admitted by the bound AttackControl's
+//     try_charge() before it is computed, so no row runs past the budget;
+//   * deadline/budget truncation for batched sweeps (deadline, then
+//     budget, checked before every row; a truncated batch returns the
+//     number of rows actually evaluated).
 //
 // Models implement do_eval_swap / do_eval_tokens (per-candidate) and may
 // override the do_*_batch hooks with stacked-gemm versions; the default
@@ -72,19 +70,27 @@ class SwapEvaluator {
   void rebase(const TokenSeq& tokens);
 
   /// Class-probability vector for the base document with position `pos`
-  /// replaced by word `candidate`. Does not modify the base.
+  /// replaced by word `candidate`. Does not modify the base. Throws if a
+  /// bound budget refuses the row.
   Vector eval_swap(std::size_t pos, WordId candidate);
 
   /// Class-probability vector for an arbitrary token sequence (used for
-  /// multi-position candidates in Alg. 3).
+  /// multi-position candidates in Alg. 3). Throws if a bound budget
+  /// refuses the row.
   Vector eval_tokens(const TokenSeq& tokens);
 
+  /// eval_tokens for a row the budget may refuse (an attack's anchor or
+  /// re-anchor): fills `out` and returns true when the row is admitted,
+  /// returns false with nothing computed when it is not. Single rows do
+  /// not poll the deadline; a search polls it per batched row.
+  [[nodiscard]] bool try_eval_tokens(const TokenSeq& tokens, Vector& out);
+
   /// Scores candidates[0..count) in order, one `out` row per candidate.
-  /// Honors the bound AttackControl exactly like the per-candidate loops:
-  /// the deadline is polled and the budget checked before every row; on a
-  /// limit hit the sweep truncates and the status reports how many rows
-  /// were actually evaluated (rows past it are untouched) and which limit
-  /// fired. Every evaluated row is one query and one charge.
+  /// Honors the bound AttackControl: before every row the deadline is
+  /// polled and the row admitted against the budget; on a limit hit the
+  /// sweep truncates and the status reports how many rows were actually
+  /// evaluated (rows past it are untouched) and which limit fired. Every
+  /// evaluated row is one query and one charge.
   BatchStatus eval_swap_batch(const SwapCandidate* candidates,
                               std::size_t count, Matrix& out);
   BatchStatus eval_swap_batch(const std::vector<SwapCandidate>& candidates,
@@ -103,13 +109,9 @@ class SwapEvaluator {
   /// either binds or charges explicitly).
   void bind_control(const AttackControl* control);
 
-  /// Number of candidate evaluations performed (query-count metric).
+  /// Number of rows evaluated (query-count metric). With a budget bound,
+  /// each was one charge.
   std::size_t queries() const { return queries_; }
-
-  /// Total queries charged to the bound QueryBudget (== queries() made
-  /// while a budget was bound). The attacks report it so joint_attack can
-  /// DCHECK it against the budget's used() tally at every return.
-  std::size_t budget_charged() const { return charged_; }
 
  protected:
   virtual std::size_t do_num_classes() const = 0;
@@ -135,31 +137,22 @@ class SwapEvaluator {
   TokenSeq base_tokens_;
 
  private:
-  /// Counts one query and charges it to the bound budget, if any.
-  void count_query();
+  /// Admits one row against the bound budget (try_charge) and counts it
+  /// as a query; false, counting nothing, when the budget refuses it.
+  bool admit_row();
   /// Sizes `out` to count x classes, then admits rows in request order:
-  /// per row it polls the deadline, checks the budget, then counts the
-  /// query. Stops at the first limit.
+  /// per row it polls the deadline, then admit_row(). Stops at the first
+  /// limit.
   BatchStatus admit(std::size_t count, Matrix& out);
 
   const AttackControl* control_ = nullptr;
   std::size_t queries_ = 0;
-  std::size_t charged_ = 0;
 
   // Reused batch scratch (hot path: one batch per greedy round): the
   // identity row map and the row pointers the tokens hook takes.
   std::vector<std::size_t> rows_;
   std::vector<const TokenSeq*> docs_;
 };
-
-/// Benchmark/CI hook: when true, the batch entry points score their rows
-/// through the per-candidate do_eval_* path instead of the stacked-gemm
-/// overrides. Results are bit-identical either way (that is the batched
-/// contract); the switch exists so the bench-attack-sweep job can emit
-/// seed-path timing rows from the same binary. Not thread-safe: set it
-/// before spawning attack workers.
-void set_sequential_scoring(bool sequential);
-bool sequential_scoring();
 
 /// Text classifier over token-id sequences.
 class TextClassifier {

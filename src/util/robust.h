@@ -108,11 +108,9 @@ class Deadline {
 ///
 /// Thread-safe by construction: the usage counter is a per-instance atomic,
 /// so one budget may be shared as a cap across parallel attack workers
-/// (evaluate_attack's sweep budget). Plain charge() is a relaxed add — the
-/// accounted total can briefly overshoot the limit by in-flight work;
-/// charge_up_to() is the clamped variant whose accounted total can never
-/// exceed the limit. Not copyable (atomics pin the identity: a copy would
-/// silently fork the pool).
+/// (evaluate_attack's sweep budget). Charging is clamped, so the accounted
+/// total never exceeds the limit. Not copyable (atomics pin the identity: a
+/// copy would silently fork the pool).
 class QueryBudget {
  public:
   explicit QueryBudget(std::size_t limit = 0) : limit_(limit) {}
@@ -120,15 +118,11 @@ class QueryBudget {
   QueryBudget(const QueryBudget&) = delete;
   QueryBudget& operator=(const QueryBudget&) = delete;
 
-  void charge(std::size_t n = 1) {
-    used_.fetch_add(n, std::memory_order_relaxed);
-  }
-
   /// Atomically charges min(n, remaining()) and returns the amount actually
   /// charged, so concurrent chargers can never push the accounted total past
   /// the limit. Unlimited budgets charge and return n. [[nodiscard]]: a
   /// caller that ignores the grant cannot know how much work it is allowed
-  /// to account — use charge() for fire-and-forget accounting.
+  /// to account.
   [[nodiscard]] std::size_t charge_up_to(std::size_t n) {
     if (limit_ == 0) {
       used_.fetch_add(n, std::memory_order_relaxed);
@@ -168,9 +162,10 @@ class QueryBudget {
 /// Shared run controls threaded through the attack algorithms. The deadline
 /// is copied (absolute instant); the budget is borrowed and mutated so all
 /// phases of one document draw from the same pool. Both default to
-/// unconstrained, keeping existing call sites valid. The SwapEvaluator
-/// shell charges `budget` once per evaluated row, which is the single
-/// charge point for evaluator queries.
+/// unconstrained, keeping existing call sites valid. Every forward an
+/// attack runs is admitted by try_charge() first: evaluator rows by the
+/// SwapEvaluator shell, anchors, gradient calls and verifications by the
+/// attack itself.
 struct AttackControl {
   Deadline deadline;
   QueryBudget* budget = nullptr;  ///< may be null (unlimited)
@@ -178,10 +173,18 @@ struct AttackControl {
   bool budget_exhausted() const {
     return budget != nullptr && budget->exhausted();
   }
-  /// const: the control block is shared read-only; the mutation happens in
-  /// the borrowed QueryBudget, which is non-const by construction.
-  void charge(std::size_t n) const {
-    if (budget != nullptr) budget->charge(n);
+  /// Forwards the budget can still admit (max size_t when none is bound).
+  std::size_t budget_remaining() const {
+    return budget == nullptr ? std::numeric_limits<std::size_t>::max()
+                             : budget->remaining();
+  }
+  /// Admits one forward: charges it and returns true, or returns false,
+  /// charging nothing, when the budget is spent. No forward runs without
+  /// this, so a per-document cap is never passed. const: the control block
+  /// is shared read-only; the mutation happens in the borrowed QueryBudget,
+  /// which is non-const by construction.
+  [[nodiscard]] bool try_charge() const {
+    return budget == nullptr || budget->charge_up_to(1) == 1;
   }
 };
 

@@ -106,12 +106,11 @@ void expect_rows_within(const Matrix& scores, std::size_t row,
   }
 }
 
-// eval_swap_batch == per-candidate eval_swap == predict_proba of the
-// swapped document, float-for-float, for every model family and on both
-// the batched-gemm and (via the bench switch) the sequential scoring path.
-// An evaluator's batched and sequential paths share its cached base
-// state, so the full forward is the only independent reference. No
-// control bound: unlimited.
+// eval_swap_batch == a second evaluator's per-candidate eval_swap ==
+// predict_proba of the swapped document, float-for-float (BoW swaps within
+// kBowSwapUlps of predict_proba), for every model family. BoW is the one
+// family whose per-candidate path is distinct; the others run it as a
+// one-row batch. No control bound: unlimited.
 TEST(BatchedScoring, SwapBatchMatchesSequentialBitwise) {
   const TokenSeq base = sample_tokens(40, 7);
   for (const auto& model : all_models()) {
@@ -132,18 +131,10 @@ TEST(BatchedScoring, SwapBatchMatchesSequentialBitwise) {
       EXPECT_EQ(status.evaluated, batch);
       EXPECT_FALSE(status.truncated());
 
-      set_sequential_scoring(true);
-      Matrix seed_scores;
-      const BatchStatus seed_status =
-          batched->eval_swap_batch(candidates, seed_scores);
-      set_sequential_scoring(false);
-      EXPECT_EQ(seed_status.evaluated, batch);
-
       for (std::size_t i = 0; i < batch; ++i) {
         const Vector row =
             sequential->eval_swap(candidates[i].pos, candidates[i].word);
         expect_rows_equal(scores, i, row, "batched");
-        expect_rows_equal(seed_scores, i, row, "seed-path");
         TokenSeq swapped = base;
         swapped[candidates[i].pos] = candidates[i].word;
         expect_rows_within(scores, i, model->predict_proba(swapped),
@@ -340,11 +331,12 @@ TEST(BatchedScoring, WCnnMcDropoutBatchMatchesFullForwardStream) {
   }
 }
 
-// The shell's charge point: with a QueryBudget bound, every evaluated row
-// is one query and one charge, whichever entry point scored it — a repeat,
-// an in-batch duplicate and the re-anchor eval_tokens of a just-scored swap
+// The shell's admission: with a QueryBudget bound, every evaluated row is
+// one query and one charge, whichever entry point scored it — a repeat, an
+// in-batch duplicate and the re-anchor eval_tokens of a just-scored swap
 // included. Duplicates are computed like any other row, so their rows are
-// byte-identical. A batch that meets the cap stops at it.
+// byte-identical. A batch that meets the cap stops at it, and a single row
+// past the cap is refused.
 TEST(BatchedScoring, EveryEvaluatedRowChargesOneQuery) {
   const TokenSeq base = sample_tokens(30, 13);
   TokenSeq swapped = base;
@@ -386,9 +378,12 @@ TEST(BatchedScoring, EveryEvaluatedRowChargesOneQuery) {
     EXPECT_FALSE(capped.out_of_time);
     EXPECT_EQ(budget.used(), 12u);
 
+    Vector refused;
+    EXPECT_FALSE(evaluator->try_eval_tokens(swapped, refused));
+    EXPECT_TRUE(refused.empty());
+    EXPECT_THROW((void)evaluator->eval_tokens(swapped), CheckError);
     EXPECT_EQ(evaluator->queries(), 12u);
-    EXPECT_EQ(evaluator->queries(), evaluator->budget_charged());
-    EXPECT_EQ(evaluator->budget_charged(), budget.used());
+    EXPECT_EQ(evaluator->queries(), budget.used());
   }
 }
 
@@ -487,9 +482,9 @@ WCnn* BatchPipelineFixture::model_ = nullptr;
 
 // A per-document query cap binds identically at any worker count: the
 // committed records are bitwise-identical at 1 and 4 attack threads, and
-// no record counts more queries than the cap. Each counted query is one
-// charge; the final verification forward of an attack is charged but not
-// counted, and lands after the search has stopped.
+// no document runs more forwards than the cap. Counted queries are a
+// subset of those forwards: Alg. 3's gradient calls and verification are
+// charged but not counted.
 TEST_F(BatchPipelineFixture, CappedSweepMatchesAcrossThreadCounts) {
   constexpr std::size_t kCap = 60;
   const auto capped = [](std::size_t threads, std::string& records) {
@@ -511,7 +506,8 @@ TEST_F(BatchPipelineFixture, CappedSweepMatchesAcrossThreadCounts) {
   expect_equal_results(serial, parallel);
   for (const AttackEvalResult* result : {&serial, &parallel}) {
     for (const JointAttackResult& attack : result->attacks) {
-      EXPECT_LE(attack.queries, kCap);
+      EXPECT_LE(attack.queries, attack.forwards);
+      EXPECT_LE(attack.forwards, kCap);
     }
   }
 }

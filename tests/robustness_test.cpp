@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "src/core/gradient_attack.h"
 #include "src/core/gradient_guided_greedy.h"
@@ -65,24 +67,38 @@ TEST(Deadline, ExpiresAndReportsRemaining) {
 TEST(QueryBudget, ChargesAndExhausts) {
   QueryBudget budget(3);
   EXPECT_FALSE(budget.exhausted());
-  budget.charge(2);
+  EXPECT_EQ(budget.charge_up_to(2), 2u);
   EXPECT_FALSE(budget.exhausted());
   EXPECT_EQ(budget.remaining(), 1u);
-  budget.charge(5);
+  EXPECT_EQ(budget.charge_up_to(5), 1u);  // clamped at the limit
   EXPECT_TRUE(budget.exhausted());
-  EXPECT_EQ(budget.used(), 7u);
+  EXPECT_EQ(budget.used(), 3u);
   EXPECT_EQ(budget.remaining(), 0u);
 
   QueryBudget unlimited;
-  unlimited.charge(1'000'000);
+  EXPECT_EQ(unlimited.charge_up_to(1'000'000), 1'000'000u);
   EXPECT_FALSE(unlimited.exhausted());
 }
 
 TEST(AttackControl, NullBudgetIsUnlimited) {
   const AttackControl control;
   EXPECT_FALSE(control.budget_exhausted());
-  control.charge(100);  // must not crash
+  EXPECT_TRUE(control.try_charge());
+  EXPECT_EQ(control.budget_remaining(),
+            std::numeric_limits<std::size_t>::max());
   EXPECT_FALSE(control.deadline.expired());
+}
+
+TEST(AttackControl, TryChargeAdmitsUpToTheLimit) {
+  QueryBudget budget(2);
+  AttackControl control;
+  control.budget = &budget;
+  EXPECT_TRUE(control.try_charge());
+  EXPECT_EQ(control.budget_remaining(), 1u);
+  EXPECT_TRUE(control.try_charge());
+  EXPECT_FALSE(control.try_charge());
+  EXPECT_TRUE(control.budget_exhausted());
+  EXPECT_EQ(budget.used(), 2u);
 }
 
 TEST(FaultInjector, RejectsMalformedSpecs) {
@@ -296,6 +312,10 @@ TEST_F(RobustnessFixture, TinyQueryBudgetStopsWordAttacks) {
   const std::size_t target = 1 - static_cast<std::size_t>(doc->label);
   const WordCandidates candidates = candidates_for(tokens);
 
+  // A cap of one admits exactly one forward: greedy's anchor, Alg. 3's
+  // first gradient call, or the gradient attack's verification. Each
+  // still reports the exact score of the (unchanged) document.
+  const double clean = model_->class_probability(tokens, target);
   QueryBudget budget(1);
   AttackControl control;
   control.budget = &budget;
@@ -303,13 +323,16 @@ TEST_F(RobustnessFixture, TinyQueryBudgetStopsWordAttacks) {
       *model_, tokens, candidates, target, {}, control);
   EXPECT_EQ(greedy.termination, TerminationReason::kBudgetExhausted);
   EXPECT_EQ(greedy.adv_tokens, tokens);
-  EXPECT_TRUE(budget.exhausted());
+  EXPECT_EQ(greedy.final_target_proba, clean);
+  EXPECT_EQ(budget.used(), 1u);
 
   QueryBudget ggg_budget(1);
   control.budget = &ggg_budget;
   const WordAttackResult ggg = gradient_guided_greedy_attack(
       *model_, tokens, candidates, target, {}, control);
   EXPECT_EQ(ggg.termination, TerminationReason::kBudgetExhausted);
+  EXPECT_EQ(ggg.final_target_proba, clean);
+  EXPECT_EQ(ggg_budget.used(), 1u);
 
   QueryBudget gradient_budget(1);
   control.budget = &gradient_budget;
@@ -318,6 +341,103 @@ TEST_F(RobustnessFixture, TinyQueryBudgetStopsWordAttacks) {
   const WordAttackResult gradient = gradient_attack(
       *model_, tokens, candidates, target, gradient_config, control);
   EXPECT_EQ(gradient.termination, TerminationReason::kBudgetExhausted);
+  EXPECT_EQ(gradient.final_target_proba, clean);
+  EXPECT_EQ(gradient_budget.used(), 1u);
+}
+
+// A greedy round that ends exactly on the cap: the budget admits the
+// anchor and every row of the first round, so the committed swap's
+// re-anchor and the verification are both refused. The attack reports the
+// committed row's own score, which is the exact score of its final state.
+TEST_F(RobustnessFixture, GreedyRoundEndingOnTheCapStaysInside) {
+  InjectorGuard guard;
+  const Document* doc = correct_doc();
+  ASSERT_NE(doc, nullptr);
+  const TokenSeq tokens = doc->flatten();
+  const std::size_t target = 1 - static_cast<std::size_t>(doc->label);
+  const WordCandidates candidates = candidates_for(tokens);
+  std::size_t first_round = 0;
+  for (std::size_t pos = 0; pos < tokens.size(); ++pos) {
+    for (WordId cand : candidates.per_position[pos]) {
+      first_round += cand != tokens[pos] ? 1 : 0;
+    }
+  }
+  ASSERT_GT(first_round, 0u);
+  const std::size_t cap = 1 + first_round;
+
+  QueryBudget budget(cap);
+  AttackControl control;
+  control.budget = &budget;
+  const WordAttackResult result = objective_greedy_attack(
+      *model_, tokens, candidates, target, {}, control);
+  EXPECT_EQ(result.words_changed, 1u) << "the first round should commit";
+  EXPECT_EQ(budget.used(), cap);
+  EXPECT_EQ(result.forwards, cap);
+  EXPECT_EQ(result.queries, cap - 1);
+  EXPECT_EQ(result.final_target_proba,
+            model_->class_probability(result.adv_tokens, target));
+}
+
+// The cap contract as a property: over a seeded sample of caps, no word
+// attack and no joint attack runs a forward past its cap, each tallies
+// exactly the forwards the budget admitted, and each reports the exact
+// score of the state it returns.
+TEST_F(RobustnessFixture, NoAttackChargesPastItsCap) {
+  InjectorGuard guard;
+  const Document* doc = correct_doc();
+  ASSERT_NE(doc, nullptr);
+  const TokenSeq tokens = doc->flatten();
+  const std::size_t target = 1 - static_cast<std::size_t>(doc->label);
+  const WordCandidates candidates = candidates_for(tokens);
+  std::vector<std::size_t> caps = {1, 2, 3};
+  Rng rng(2109);
+  for (int i = 0; i < 5; ++i) caps.push_back(4 + rng.uniform_index(300));
+
+  const auto exact = [&](const TokenSeq& adv) {
+    return model_->class_probability(adv, target);
+  };
+  for (const std::size_t cap : caps) {
+    SCOPED_TRACE(testing::Message() << "cap=" << cap);
+    const auto capped = [cap](QueryBudget& budget) {
+      AttackControl control;
+      control.budget = &budget;
+      return control;
+    };
+    {
+      QueryBudget budget(cap);
+      const WordAttackResult r = objective_greedy_attack(
+          *model_, tokens, candidates, target, {}, capped(budget));
+      EXPECT_LE(budget.used(), cap) << "greedy";
+      EXPECT_EQ(r.forwards, budget.used()) << "greedy";
+      EXPECT_EQ(r.final_target_proba, exact(r.adv_tokens)) << "greedy";
+    }
+    {
+      QueryBudget budget(cap);
+      const WordAttackResult r = gradient_guided_greedy_attack(
+          *model_, tokens, candidates, target, {}, capped(budget));
+      EXPECT_LE(budget.used(), cap) << "Alg. 3";
+      EXPECT_EQ(r.forwards, budget.used()) << "Alg. 3";
+      EXPECT_EQ(r.final_target_proba, exact(r.adv_tokens)) << "Alg. 3";
+    }
+    {
+      QueryBudget budget(cap);
+      GradientAttackConfig config;
+      config.rounds = 3;
+      const WordAttackResult r = gradient_attack(
+          *model_, tokens, candidates, target, config, capped(budget));
+      EXPECT_LE(budget.used(), cap) << "gradient";
+      EXPECT_EQ(r.forwards, budget.used()) << "gradient";
+      EXPECT_EQ(r.final_target_proba, exact(r.adv_tokens)) << "gradient";
+    }
+    {
+      JointAttackConfig joint;
+      joint.max_queries = cap;
+      const JointAttackResult r = joint_attack(
+          *model_, *doc, target, context_->resources(), joint);
+      EXPECT_LE(r.forwards, cap) << "joint";
+      EXPECT_EQ(r.final_target_proba, exact(r.adv_doc.flatten())) << "joint";
+    }
+  }
 }
 
 TEST_F(RobustnessFixture, ExpiredDeadlineStopsSentenceAndJointAttack) {

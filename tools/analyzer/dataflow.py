@@ -7,12 +7,12 @@ rules:
 ``uncharged-forward`` (v2)
     Every call chain from an attack/eval/service *entry point* to a
     classifier forward-family call (``forward``/``predict``/
-    ``predict_proba``/``class_probability``/``eval_swap``/``eval_tokens``
-    and their batched variants) must pass through at least one function
-    that charges the ``QueryBudget`` (``charge(``/``charge_up_to(``) or
+    ``predict_proba``/``class_probability``/``eval_swap``/``eval_tokens``/
+    ``try_eval_tokens`` and their batched variants) must pass through at
+    least one function that charges the ``QueryBudget`` (``charge(``/
+    ``charge_up_to(``, or the admission primitive ``try_charge(``) or
     binds an ``AttackControl`` to the evaluator shell (``bind_control(``
-    — the shell then charges every evaluated row itself, which is the
-    one charge point of the batched scoring path).
+    — the shell then admits every evaluated row itself).
     Domination is at *function granularity*: a function that charges
     anywhere discharges the sinks it dominates — a deliberate
     approximation (branch-level domination would need real dataflow).
@@ -62,15 +62,18 @@ from .symbols import Function, SymbolIndex
 
 FORWARD_FAMILY = ("forward", "predict", "predict_proba",
                   "class_probability", "eval_swap", "eval_tokens",
-                  "eval_swap_batch", "eval_tokens_batch",
+                  "try_eval_tokens", "eval_swap_batch", "eval_tokens_batch",
                   "predict_proba_batch")
 _RE_FORWARD_SITE = re.compile(
     r"(?:\.|->)\s*(?:%s)\s*\(" % "|".join(FORWARD_FAMILY))
-#: bind_control counts as a charge site: once an AttackControl is bound to
-#: the SwapEvaluator shell, the shell itself charges the budget on every
-#: evaluated row (the single charge point of the batched scoring path), so
-#: the binding function discharges the queries it dominates.
-_RE_CHARGE = re.compile(r"\bcharge(?:_up_to)?\s*\(|\bbind_control\s*\(")
+#: try_charge is AttackControl's admission primitive: a forward runs only
+#: once it returned true. bind_control counts as a charge site too: once an
+#: AttackControl is bound to the SwapEvaluator shell, the shell itself
+#: admits every evaluated row through try_charge, so the binding function
+#: discharges the queries it dominates. A name that merely ends in
+#: "charge" (retry_charge) does not.
+_RE_CHARGE = re.compile(
+    r"\b(?:try_)?charge(?:_up_to)?\s*\(|\bbind_control\s*\(")
 
 _RE_HEAVY_DIRECT = re.compile(
     r"(?:\.|->)\s*(?:%s)\s*\(" % "|".join(FORWARD_FAMILY)
@@ -195,10 +198,10 @@ def check_uncharged_forward(model: SemanticModel) -> list[Finding]:
                     fn.file, site.line, "uncharged-forward",
                     f"classifier query '{site.name}()' is reachable from "
                     f"entry point '{chain[0].split()[-1]}' with no "
-                    "QueryBudget charge anywhere on the call chain; charge "
-                    "the budget (AttackControl::charge / charge_up_to) on "
-                    "the chain or the paper's query accounting goes "
-                    "silently dishonest",
+                    "QueryBudget charge anywhere on the call chain; admit "
+                    "the forward (AttackControl::try_charge / "
+                    "QueryBudget::charge_up_to) on the chain or the "
+                    "paper's query accounting goes silently dishonest",
                     witness=tuple(chain)))
         for site, targets in model.graph.callees(fn):
             if site.name in FORWARD_FAMILY:

@@ -9,13 +9,17 @@ its own directory, the script:
   1. generates the News and Yelp tasks (`gen-task --seed 7`);
   2. trains News `lstm` and `wcnn` and Yelp `bow` and `gru`
      (`--epochs 4`, default sizes);
-  3. runs nine 40-document attack sweeps with `--records-out`:
+  3. runs eleven 40-document attack sweeps with `--records-out`:
      - greedy (`--method greedy --ls 0 --lw 0.5`) on News LSTM, Yelp BoW
        and Yelp GRU;
      - joint (`--method ggg --ls 0.2 --lw 0.2`: sentence phase, then
        Alg. 3 words) on News LSTM, News WCNN, Yelp BoW and Yelp GRU;
      - greedy capped per document: News LSTM at `--max-queries 400`, Yelp
-       BoW at `--max-queries 60`.
+       BoW at `--max-queries 60`;
+     - joint capped per document: News WCNN at `--max-queries 300`, Yelp
+       GRU at `--max-queries 100`.
+
+That makes 17 files: two tasks, four params and eleven records.
 
 The records hold each attack's decisions, not the scores behind them, so
 a change to the scores shows only where it flips a decision. Moving
@@ -23,8 +27,8 @@ every LSTM gate pre-activation one ULP away from zero changes the News
 LSTM joint records; the other sweeps first change at 64 ULPs (16 is not
 enough).
 
-Exit 3 (budget-limited documents) is the expected outcome of the capped
-sweeps and counts as success. The two builds run side by side. Then
+Exit 3 (budget-limited documents) is the expected outcome of the four
+capped sweeps and counts as success. The two builds run side by side. Then
 every task, params and records file is compared byte for byte, one line
 per file. A change that claims bit-identical results must report every
 file identical.
@@ -61,6 +65,10 @@ ATTACKS = (
      GREEDY + ("--max-queries", "400"), (0, 3)),
     ("yelp_bow_greedy_q60", "yelp", "bow",
      GREEDY + ("--max-queries", "60"), (0, 3)),
+    ("news_wcnn_ggg_q300", "news", "wcnn",
+     JOINT + ("--max-queries", "300"), (0, 3)),
+    ("yelp_gru_ggg_q100", "yelp", "gru",
+     JOINT + ("--max-queries", "100"), (0, 3)),
 )
 DOCS = "40"
 
