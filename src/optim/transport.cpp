@@ -57,7 +57,12 @@ double solve_transport_exact(const Matrix& cost, std::vector<double> a,
   // Successive shortest paths on the bipartite transportation graph with
   // node potentials. Nodes: 0..n-1 rows, n..n+m-1 columns. Because the
   // graph is dense bipartite we run Dijkstra over rows/columns directly.
-  Matrix flow(n, m);
+  // The flow is held in double: a float flow would cap a reverse-arc
+  // bottleneck at float precision and carry that error into the objective.
+  std::vector<double> flow(n * m, 0.0);
+  const auto flow_at = [&](std::size_t i, std::size_t j) -> double& {
+    return flow[i * m + j];
+  };
   std::vector<double> row_remaining = a;
   std::vector<double> col_remaining = b;
   std::vector<double> row_potential(n, 0.0);
@@ -117,7 +122,7 @@ double solve_transport_exact(const Matrix& cost, std::vector<double> a,
         if (done_col[j] || d > dist_col[j] + kEps) continue;
         done_col[j] = true;
         for (std::size_t i = 0; i < n; ++i) {
-          if (flow(i, j) <= kEps) continue;  // reverse arc needs flow
+          if (flow_at(i, j) <= kEps) continue;  // reverse arc needs flow
           const double reduced = -(cost(i, j) + row_potential[i] -
                                    col_potential[j]);
           const double nd = d + std::max(reduced, 0.0);
@@ -169,8 +174,7 @@ double solve_transport_exact(const Matrix& cost, std::vector<double> a,
       }
       const std::size_t prev_col = static_cast<std::size_t>(parent_row[row]);
       reverse_arcs.emplace_back(row, prev_col);
-      bottleneck =
-          std::min(bottleneck, static_cast<double>(flow(row, prev_col)));
+      bottleneck = std::min(bottleneck, flow_at(row, prev_col));
       col = prev_col;
     }
     bottleneck = std::min(bottleneck, 1.0 - shipped);
@@ -178,12 +182,12 @@ double solve_transport_exact(const Matrix& cost, std::vector<double> a,
       throw std::runtime_error("transport: zero bottleneck");
     }
     for (const auto& [i, j] : forward_arcs) {
-      flow(i, j) += static_cast<float>(bottleneck);
+      flow_at(i, j) += bottleneck;
       // ADVTEXT_ALLOW(float-accum): objective updates follow the augmenting-path visit order, fixed by the solver
       objective += bottleneck * cost(i, j);
     }
     for (const auto& [i, j] : reverse_arcs) {
-      flow(i, j) -= static_cast<float>(bottleneck);
+      flow_at(i, j) -= bottleneck;
       objective -= bottleneck * cost(i, j);
     }
     const std::size_t src_row = forward_arcs.back().first;
@@ -199,22 +203,29 @@ double solve_transport_exact(const Matrix& cost, std::vector<double> a,
   // the potentials are corrupt, which silently breaks every WMD distance.
   for (std::size_t i = 0; i < n; ++i) {
     const double row_mass =
-        det_index_sum(m, [&](std::size_t j) { return flow(i, j); });
-    ADVTEXT_DCHECK(std::abs(row_mass - a[i]) < 1e-4)
+        det_index_sum(m, [&](std::size_t j) { return flow_at(i, j); });
+    ADVTEXT_DCHECK(std::abs(row_mass - a[i]) < 1e-12)
         << "transport: row " << i << " ships " << row_mass << ", supply is "
         << a[i];
   }
   for (std::size_t j = 0; j < m; ++j) {
     const double col_mass =
-        det_index_sum(n, [&](std::size_t i) { return flow(i, j); });
-    ADVTEXT_DCHECK(std::abs(col_mass - b[j]) < 1e-4)
+        det_index_sum(n, [&](std::size_t i) { return flow_at(i, j); });
+    ADVTEXT_DCHECK(std::abs(col_mass - b[j]) < 1e-12)
         << "transport: column " << j << " receives " << col_mass
         << ", demand is " << b[j];
   }
   ADVTEXT_DCHECK(std::isfinite(objective) && objective > -1e-9)
       << "transport: objective " << objective;
 #endif
-  if (plan != nullptr) *plan = flow;
+  if (plan != nullptr) {
+    *plan = Matrix(n, m);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        (*plan)(i, j) = static_cast<float>(flow_at(i, j));
+      }
+    }
+  }
   return objective;
 }
 

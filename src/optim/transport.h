@@ -9,7 +9,9 @@
 // exactly via successive-shortest-path min-cost flow with Dijkstra +
 // node potentials (costs stay reduced-non-negative), and approximately via
 // Sinkhorn iterations (entropic regularization), which the WMD ablation
-// bench compares against the exact solver.
+// bench compares against the exact solver. The exact solver holds its flow
+// in double, so its objective carries double rounding only; the float
+// `plan` is converted from it at the end.
 #pragma once
 
 #include <cstddef>

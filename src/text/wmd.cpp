@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <utility>
 
 #include "src/util/check.h"
 #include "src/util/det_accum.h"
@@ -31,41 +32,6 @@ double Wmd::word_similarity(WordId a, WordId b) const {
   return std::exp(-word_distance(a, b));
 }
 
-void Wmd::nbow(const Sentence& s, std::vector<WordId>* words,
-               std::vector<double>* weights) {
-  std::unordered_map<WordId, double> counts;
-  for (WordId w : s) counts[w] += 1.0;
-  words->clear();
-  weights->clear();
-  // ADVTEXT_ALLOW(unordered-iteration): pairs are copied out and sorted by WordId immediately below
-  for (const auto& [w, c] : counts) {
-    words->push_back(w);
-    weights->push_back(c);
-  }
-  // Deterministic order (hash maps are not).
-  std::vector<std::size_t> idx(words->size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::sort(idx.begin(), idx.end(), [&](std::size_t x, std::size_t y) {
-    return (*words)[x] < (*words)[y];
-  });
-  std::vector<WordId> sorted_words(words->size());
-  std::vector<double> sorted_weights(words->size());
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    sorted_words[i] = (*words)[idx[i]];
-    sorted_weights[i] = (*weights)[idx[i]];
-  }
-  *words = std::move(sorted_words);
-  *weights = std::move(sorted_weights);
-#if ADVTEXT_DCHECK_ENABLED
-  // nBOW mass balance: the weights are raw token counts, so they must sum
-  // to the sentence length exactly (they are small integers in doubles).
-  const double total = det_sum(*weights);
-  ADVTEXT_DCHECK(total == static_cast<double>(s.size()))
-      << "Wmd::nbow: weights sum to " << total << " for " << s.size()
-      << " tokens";
-#endif
-}
-
 double Wmd::solve_cost(const Matrix& cost, const std::vector<double>& pa,
                        const std::vector<double>& pb) const {
   // Last line of defense: never throws for cost reasons, and is orders of
@@ -89,15 +55,10 @@ double Wmd::solve_cost(const Matrix& cost, const std::vector<double>& pa,
   switch (method_) {
     case Method::kExact:
       try {
-        TransportControl control;
-        control.max_iterations = limits_.exact_max_iterations;
-        if (limits_.exact_deadline_ms > 0.0) {
-          control.deadline = Deadline::after_ms(limits_.exact_deadline_ms);
-        }
-        return solve_transport_exact(cost, pa, pb, nullptr, control);
+        return solve_transport_exact(cost, pa, pb);
       } catch (const std::runtime_error&) {
-        // TransportLimitError (cap/deadline), degenerate-solve errors, and
-        // injected faults all degrade; logic/shape errors propagate.
+        // TransportLimitError (augmentation cap), degenerate-solve errors,
+        // and injected faults all degrade; logic/shape errors propagate.
         to_sinkhorn_.fetch_add(1, std::memory_order_relaxed);
         return sinkhorn();
       }
@@ -115,31 +76,53 @@ double Wmd::distance(const Sentence& a, const Sentence& b) const {
   if (a.empty() || b.empty()) {
     return std::numeric_limits<double>::infinity();
   }
-  std::vector<WordId> wa;
-  std::vector<WordId> wb;
-  std::vector<double> pa;
-  std::vector<double> pb;
-  nbow(a, &wa, &pa);
-  nbow(b, &wb, &pb);
-  if (wa == wb) {
-    // Same multiset support; if the weights also match the distance is 0.
-    bool same = pa.size() == pb.size();
-    const double ta = det_sum(pa);
-    const double tb = det_sum(pb);
-    for (std::size_t i = 0; same && i < pa.size(); ++i) {
-      same = std::abs(pa[i] / ta - pb[i] / tb) < 1e-12;
+  const auto len_a = static_cast<std::int64_t>(a.size());
+  const auto len_b = static_cast<std::int64_t>(b.size());
+  // Mass difference scaled by |a|*|b| so it stays an exact integer:
+  // d(w) = c_a(w)*|b| - c_b(w)*|a|. Each token carries its signed share,
+  // and sorting by word id makes every word's d the sum of one run.
+  // Surplus words (d > 0) become the sources, deficit words (d < 0) the
+  // sinks, both in ascending id order.
+  std::vector<std::pair<WordId, std::int64_t>> shares;
+  shares.reserve(a.size() + b.size());
+  for (WordId w : a) shares.emplace_back(w, len_b);
+  for (WordId w : b) shares.emplace_back(w, -len_a);
+  std::sort(shares.begin(), shares.end());
+  std::vector<WordId> sources;
+  std::vector<WordId> sinks;
+  std::vector<double> supply;
+  std::vector<double> demand;
+  std::int64_t moved = 0;
+  for (std::size_t i = 0; i < shares.size();) {
+    const WordId w = shares[i].first;
+    std::int64_t d = 0;
+    for (; i < shares.size() && shares[i].first == w; ++i) {
+      d += shares[i].second;
     }
-    if (same) return 0.0;
+    if (d > 0) {
+      sources.push_back(w);
+      supply.push_back(static_cast<double>(d));
+      moved += d;
+    } else if (d < 0) {
+      sinks.push_back(w);
+      demand.push_back(static_cast<double>(-d));
+    }
   }
-  Matrix cost(wa.size(), wb.size());
-  for (std::size_t i = 0; i < wa.size(); ++i) {
-    for (std::size_t j = 0; j < wb.size(); ++j) {
-      cost(i, j) = static_cast<float>(word_distance(wa[i], wb[j]));
+  if (moved == 0) return 0.0;  // proportional counts: no mass moves
+  ADVTEXT_DCHECK(det_sum(demand) == static_cast<double>(moved))
+      << "Wmd::distance: surplus " << moved << " != deficit "
+      << det_sum(demand);
+  Matrix cost(sources.size(), sinks.size());
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    for (std::size_t t = 0; t < sinks.size(); ++t) {
+      cost(s, t) = static_cast<float>(word_distance(sources[s], sinks[t]));
     }
   }
   ADVTEXT_DCHECK(all_finite(cost.data(), cost.size()))
       << "Wmd::distance: non-finite ground cost (corrupt embeddings?)";
-  const double result = solve_cost(cost, pa, pb);
+  const double result = solve_cost(cost, supply, demand) *
+                        static_cast<double>(moved) /
+                        static_cast<double>(len_a * len_b);
   ADVTEXT_DCHECK(std::isfinite(result) && result > -1e-9)
       << "Wmd::distance: solver returned " << result;
   return result;

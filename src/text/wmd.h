@@ -27,12 +27,6 @@ struct WmdDegradation {
   std::size_t total() const { return to_sinkhorn + to_lower_bound; }
 };
 
-/// Optional cost bounds on the exact per-call transport solve.
-struct WmdLimits {
-  std::size_t exact_max_iterations = 0;  ///< 0 = solver default cap
-  double exact_deadline_ms = 0.0;        ///< 0 = unlimited
-};
-
 class Wmd {
  public:
   enum class Method { kExact, kRelaxed, kSinkhorn };
@@ -46,16 +40,10 @@ class Wmd {
   /// one configured Wmd per worker so per-doc degradation deltas never mix
   /// across threads.
   Wmd(const Wmd& other)
-      : embeddings_(other.embeddings_),
-        method_(other.method_),
-        limits_(other.limits_) {}
+      : embeddings_(other.embeddings_), method_(other.method_) {}
   Wmd& operator=(const Wmd&) = delete;  // reference member pins assignment
 
   Method method() const { return method_; }
-
-  /// Bounds every subsequent exact solve (degradation kicks in on a hit).
-  void set_limits(const WmdLimits& limits) { limits_ = limits; }
-  const WmdLimits& limits() const { return limits_; }
 
   /// Snapshot of the degradations recorded so far. distance() is const (Wmd
   /// is shared read-only across the pipeline), so the tally is mutable
@@ -82,11 +70,22 @@ class Wmd {
   double word_similarity(WordId a, WordId b) const;
 
   /// WMD between two sentences (normalized bag-of-words mover distance).
-  /// Returns 0 if both are empty, +inf if exactly one is empty.
+  /// Returns 0 if both are empty, +inf if exactly one is empty, and 0 when
+  /// the two word counts are proportional.
   ///
-  /// Graceful degradation: if the exact solve hits its iteration cap or
-  /// deadline (TransportLimitError) or fails at runtime (including an
-  /// injected fault at "transport.exact"), the call falls back to the
+  /// The ground cost is a metric, so the optimal transport cost depends
+  /// only on the mass difference a - b (Kantorovich-Rubinstein duality):
+  /// mass two sentences share stays where it is. The solve therefore runs
+  /// on the difference only. It is taken in exact integers, d(w) =
+  /// c_a(w)*|b| - c_b(w)*|a|, so no tolerance decides which words take
+  /// part; the words with d > 0 ship to the words with d < 0, and the
+  /// unit-mass optimum is scaled by sum(d > 0) / (|a|*|b|). A one-word
+  /// swap is a 1x1 problem. Every Method sees this reduced problem, and
+  /// each nonzero distance makes exactly one solver call.
+  ///
+  /// Graceful degradation: if the exact solve hits the solver's structural
+  /// augmentation cap (TransportLimitError) or fails at runtime (including
+  /// an injected fault at "transport.exact"), the call falls back to the
   /// Sinkhorn approximation; if that also fails or returns a non-finite
   /// value, to the relaxed nBOW lower bound. Every fallback is recorded in
   /// degradation(). Logic/shape errors still propagate — degradation only
@@ -97,17 +96,12 @@ class Wmd {
   double similarity(const Sentence& a, const Sentence& b) const;
 
  private:
-  /// Collapses a sentence into (distinct word ids, normalized weights).
-  static void nbow(const Sentence& s, std::vector<WordId>* words,
-                   std::vector<double>* weights);
-
   /// Runs the configured solver with the degradation chain.
   double solve_cost(const Matrix& cost, const std::vector<double>& pa,
                     const std::vector<double>& pb) const;
 
   const Matrix& embeddings_;
   Method method_;
-  WmdLimits limits_;
   // Degradation tally (see degradation()). Atomic so a shared instance is
   // safe by construction even outside the pipeline's replica discipline.
   mutable std::atomic<std::size_t> to_sinkhorn_{0};

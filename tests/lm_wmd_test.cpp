@@ -1,12 +1,20 @@
 // Tests for the Kneser-Ney language model and Word Mover's Distance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "src/data/synthetic.h"
+#include "src/optim/transport.h"
 #include "src/text/ngram_lm.h"
 #include "src/text/wmd.h"
 #include "src/util/rng.h"
+#include "src/util/robust.h"
 
 namespace advtext {
 namespace {
@@ -220,6 +228,148 @@ TEST(Wmd, ClusterSiblingsAreCloserThanStrangers) {
     ++across_n;
   }
   EXPECT_LT(within / within_n, 0.5 * (across / across_n));
+}
+
+// ---- WMD on the mass difference ------------------------------------------
+
+// Word counts of a sentence, ordered by id.
+std::map<WordId, std::size_t> word_counts(const Sentence& s) {
+  std::map<WordId, std::size_t> counts;
+  for (WordId w : s) ++counts[w];
+  return counts;
+}
+
+bool proportional_counts(const Sentence& a, const Sentence& b) {
+  const std::map<WordId, std::size_t> counts_a = word_counts(a);
+  std::map<WordId, std::size_t> counts_b = word_counts(b);
+  if (counts_a.size() != counts_b.size()) return false;
+  for (const auto& [w, count] : counts_a) {
+    if (count * b.size() != counts_b[w] * a.size()) return false;
+  }
+  return true;
+}
+
+// Full-support reference: one transport problem over every word of both
+// nBOWs, as WMD is defined, with no mass subtracted.
+double full_support_wmd(const Wmd& wmd, const Sentence& a, const Sentence& b) {
+  const std::map<WordId, std::size_t> counts_a = word_counts(a);
+  const std::map<WordId, std::size_t> counts_b = word_counts(b);
+  std::vector<double> weights_a;
+  std::vector<double> weights_b;
+  for (const auto& [w, count] : counts_a) weights_a.push_back(count);
+  for (const auto& [w, count] : counts_b) weights_b.push_back(count);
+  Matrix cost(counts_a.size(), counts_b.size());
+  std::size_t i = 0;
+  for (const auto& [wa, ca] : counts_a) {
+    std::size_t j = 0;
+    for (const auto& [wb, cb] : counts_b) {
+      cost(i, j++) = static_cast<float>(wmd.word_distance(wa, wb));
+    }
+    ++i;
+  }
+  return solve_transport_exact(cost, weights_a, weights_b);
+}
+
+constexpr std::size_t kPropertyVocab = 40;
+
+// Sentence pairs from eight seeds, covering the shapes the neighbour sets
+// produce and the edge cases of the reduction: one- and two-word swaps, a
+// dropped word, repeated words, proportional counts and disjoint sentences.
+std::vector<std::pair<Sentence, Sentence>> property_pairs() {
+  std::vector<std::pair<Sentence, Sentence>> pairs;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const auto word = [&] {
+      return static_cast<WordId>(rng.uniform_index(kPropertyVocab));
+    };
+    Sentence base;
+    const std::size_t length = 5 + rng.uniform_index(8);
+    for (std::size_t i = 0; i < length; ++i) base.push_back(word());
+    const auto position = [&] { return rng.uniform_index(base.size()); };
+
+    Sentence one_swap = base;
+    one_swap[position()] = word();
+    pairs.emplace_back(base, one_swap);
+
+    Sentence two_swaps = base;
+    two_swaps[position()] = word();
+    two_swaps[position()] = word();
+    pairs.emplace_back(base, two_swaps);
+
+    Sentence dropped = base;
+    dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(position()));
+    pairs.emplace_back(base, dropped);
+
+    Sentence repeated = base;  // one word now appears twice
+    repeated[0] = base[1];
+    pairs.emplace_back(base, repeated);
+    Sentence extra_copy = base;  // unequal lengths with a repeated word
+    extra_copy.push_back(base[position()]);
+    pairs.emplace_back(base, extra_copy);
+
+    pairs.push_back(
+        {{base[0], base[1]}, {base[0], base[0], base[1], base[1]}});
+    Sentence doubled = base;
+    doubled.insert(doubled.end(), base.begin(), base.end());
+    pairs.emplace_back(base, doubled);
+
+    Sentence disjoint;
+    for (WordId w = 0; disjoint.size() < 6; ++w) {
+      if (std::find(base.begin(), base.end(), w) == base.end()) {
+        disjoint.push_back(w);
+      }
+    }
+    pairs.emplace_back(base, disjoint);
+  }
+  return pairs;
+}
+
+Matrix property_embeddings() {
+  Rng rng(31);
+  Matrix emb(kPropertyVocab, 16);
+  emb.fill_normal(rng, 1.0f);
+  return emb;
+}
+
+TEST(WmdMassDifference, MatchesFullSupportReference) {
+  const Matrix emb = property_embeddings();
+  const Wmd wmd(emb);
+  for (const auto& [a, b] : property_pairs()) {
+    const double full = full_support_wmd(wmd, a, b);
+    EXPECT_NEAR(wmd.distance(a, b), full, 1e-12 * full)
+        << "|a| " << a.size() << ", |b| " << b.size();
+  }
+}
+
+TEST(WmdMassDifference, SymmetricAndZeroExactlyOnProportionalCounts) {
+  const Matrix emb = property_embeddings();
+  const Wmd wmd(emb);
+  std::size_t proportional = 0;
+  for (const auto& [a, b] : property_pairs()) {
+    const double ab = wmd.distance(a, b);
+    EXPECT_NEAR(ab, wmd.distance(b, a), 1e-12 * ab);
+    EXPECT_EQ(ab == 0.0, proportional_counts(a, b))
+        << "|a| " << a.size() << ", |b| " << b.size();
+    proportional += proportional_counts(a, b) ? 1 : 0;
+  }
+  EXPECT_GE(proportional, 16u);  // both proportional cases of every seed
+}
+
+TEST(WmdMassDifference, OneExactSolvePerNonzeroDistance) {
+  // Every exact solve fails, so each one is counted once as a fallback.
+  struct InjectorGuard {
+    InjectorGuard() { FaultInjector::instance().configure(""); }
+    ~InjectorGuard() { FaultInjector::instance().configure_from_env(); }
+  } guard;
+  const Matrix emb = property_embeddings();
+  const Wmd wmd(emb);
+  const auto pairs = property_pairs();
+  std::size_t nonzero = 0;
+  for (const auto& [a, b] : pairs) nonzero += wmd.distance(a, b) != 0.0;
+  FaultInjector::instance().configure("transport.exact:1.0");
+  for (const auto& [a, b] : pairs) (void)wmd.distance(a, b);
+  EXPECT_GT(nonzero, 0u);
+  EXPECT_EQ(wmd.degradation().to_sinkhorn, nonzero);
 }
 
 }  // namespace

@@ -47,6 +47,17 @@ TEST(TransportExact, ForcedCrossShipment) {
   EXPECT_NEAR(obj, 0.25 * 2.0, 1e-9);
 }
 
+TEST(TransportExact, ReverseArcBottleneckKeepsDoublePrecision) {
+  // Hand-solved optimum: row 1 ships 5/11 to column 0 (cost 1) and 1/22 to
+  // column 1 (cost 4), row 0 ships 1/2 to column 1 (cost 1), for
+  // 10/22 + 4/22 + 11/22 = 25/22. The solver first ships 5/11 along
+  // (0, 0) and later sends it back over that arc as a reverse-arc
+  // bottleneck; a float flow rounds it and lands 3.6e-8 off.
+  Matrix cost = {{1.0f, 1.0f}, {1.0f, 4.0f}};
+  const double obj = solve_transport_exact(cost, {1.0, 1.0}, {5.0, 6.0});
+  EXPECT_NEAR(obj, 25.0 / 22.0, 1e-12 * (25.0 / 22.0));
+}
+
 TEST(TransportExact, PlanSatisfiesMarginals) {
   Rng rng(4);
   const std::size_t n = 6;

@@ -9,17 +9,20 @@ its own directory, the script:
   1. generates the News and Yelp tasks (`gen-task --seed 7`);
   2. trains News `lstm` and `wcnn` and Yelp `bow` and `gru`
      (`--epochs 4`, default sizes);
-  3. runs eleven 40-document attack sweeps with `--records-out`:
+  3. runs twelve 40-document attack sweeps with `--records-out`:
      - greedy (`--method greedy --ls 0 --lw 0.5`) on News LSTM, Yelp BoW
        and Yelp GRU;
      - joint (`--method ggg --ls 0.2 --lw 0.2`: sentence phase, then
        Alg. 3 words) on News LSTM, News WCNN, Yelp BoW and Yelp GRU;
+     - sentence only (`--method ggg --ls 0.6 --lw 0`) on Yelp BoW: no word
+       is swapped, so these records depend on the sentence neighbour sets
+       and the BoW scores alone;
      - greedy capped per document: News LSTM at `--max-queries 400`, Yelp
        BoW at `--max-queries 60`;
      - joint capped per document: News WCNN at `--max-queries 300`, Yelp
        GRU at `--max-queries 100`.
 
-That makes 17 files: two tasks, four params and eleven records.
+That makes 18 files: two tasks, four params and twelve records.
 
 The records hold each attack's decisions, not the scores behind them, so
 a change to the scores shows only where it flips a decision. Moving
@@ -59,6 +62,8 @@ ATTACKS = (
     ("news_wcnn_ggg", "news", "wcnn", JOINT, (0,)),
     ("yelp_bow_greedy", "yelp", "bow", GREEDY, (0,)),
     ("yelp_bow_ggg", "yelp", "bow", JOINT, (0,)),
+    ("yelp_bow_sentences", "yelp", "bow",
+     ("--method", "ggg", "--ls", "0.6", "--lw", "0"), (0,)),
     ("yelp_gru_greedy", "yelp", "gru", GREEDY, (0,)),
     ("yelp_gru_ggg", "yelp", "gru", JOINT, (0,)),
     ("news_lstm_greedy_q400", "news", "lstm",
