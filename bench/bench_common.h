@@ -20,7 +20,6 @@
 #include "src/nn/lstm.h"
 #include "src/nn/trainer.h"
 #include "src/nn/wcnn.h"
-#include "src/service/protocol.h"
 #include "src/util/serialize.h"
 #include "src/util/string_util.h"
 #include "src/util/sync.h"
@@ -61,9 +60,9 @@ inline std::size_t bench_shards(std::size_t fallback = 1) {
 }
 
 /// Attack-sweep worker threads (ADVTEXT_BENCH_ATTACK_THREADS=<k>; default
-/// 1 = the serial path). Unlike shards, a different thread count is the
-/// *same* run: for the deterministic bench models the K-worker sweep is
-/// bitwise-identical to serial, so thread count only changes wall-clock.
+/// 1 = one worker on the calling thread). Unlike shards, a different thread
+/// count is the *same* run: for the deterministic bench models every worker
+/// count gives bitwise-identical records, so it only changes wall-clock.
 inline std::size_t attack_threads(std::size_t fallback = 1) {
   if (const char* env = std::getenv("ADVTEXT_BENCH_ATTACK_THREADS")) {
     const std::size_t threads =

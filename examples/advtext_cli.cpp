@@ -28,7 +28,6 @@
 #include "src/nn/trainer.h"
 #include "src/nn/wcnn.h"
 #include "src/data/serialize.h"
-#include "src/service/protocol.h"
 #include "src/util/args.h"
 #include "src/util/robust.h"
 #include "src/util/serialize.h"
@@ -80,6 +79,9 @@ int usage() {
       "           [--attack-threads K] [--sweep-max-queries N]\n"
       "           [--sweep-deadline-ms X] [--records-out FILE]\n"
       "           [--mem-budget-mb N]\n"
+      "  --method: word attack — ggg (default) = gradient-guided greedy\n"
+      "                 (Alg. 3), greedy = objective greedy [19], gradient =\n"
+      "                 gradient attack [18]; any other value is a usage error\n"
       "  --records-out: write the committed per-doc records (wire encoding,\n"
       "                 timing excluded) to FILE — bitwise-comparable across\n"
       "                 resumed / parallel / recovered runs of one sweep\n"
@@ -228,6 +230,20 @@ int cmd_eval(const ArgParser& args) {
 }
 
 int cmd_attack(const ArgParser& args) {
+  // Checked before anything loads: a misspelt method must not silently run
+  // another attack.
+  const std::string method = args.get_string("method", "ggg");
+  WordAttackMethod word_method = WordAttackMethod::kGradientGuidedGreedy;
+  if (method == "greedy") {
+    word_method = WordAttackMethod::kObjectiveGreedy;
+  } else if (method == "gradient") {
+    word_method = WordAttackMethod::kGradient;
+  } else if (method != "ggg") {
+    std::fprintf(stderr, "advtext_cli: unknown --method %s\n",
+                 method.c_str());
+    return usage();
+  }
+
   g_phase = "attack:load-task";
   const SynthTask task = io::load_task(args.get_string("task"));
   const std::string kind = args.get_string("model", "lstm");
@@ -239,6 +255,7 @@ int cmd_attack(const ArgParser& args) {
 
   AttackEvalConfig config;
   config.max_docs = static_cast<std::size_t>(args.get_int("docs", 25));
+  config.joint.word_method = word_method;
   config.joint.sentence_fraction = args.get_double("ls", 0.2);
   config.joint.word_fraction = args.get_double("lw", 0.2);
   config.joint.use_lm_filter = task.config.name != "Trec07p";
@@ -283,14 +300,6 @@ int cmd_attack(const ArgParser& args) {
       copy_model_params(*model, *replica);
       return replica;
     };
-  }
-  const std::string method = args.get_string("method", "ggg");
-  if (method == "greedy") {
-    config.joint.word_method = WordAttackMethod::kObjectiveGreedy;
-  } else if (method == "gradient") {
-    config.joint.word_method = WordAttackMethod::kGradient;
-  } else {
-    config.joint.word_method = WordAttackMethod::kGradientGuidedGreedy;
   }
 
   // SIGINT/SIGTERM drain in-flight docs and flush an in-order-prefix

@@ -1,5 +1,6 @@
 #include "src/eval/pipeline.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -47,7 +48,71 @@ AttackResources TaskAttackContext::resources() const {
 
 namespace {
 
-constexpr const char* kCheckpointTag = "attack-checkpoint";
+TerminationReason read_termination(std::istream& in) {
+  const std::uint64_t raw = io::read_u64(in);
+  if (raw > static_cast<std::uint64_t>(TerminationReason::kError)) {
+    throw std::runtime_error("pipeline: invalid termination reason " +
+                             std::to_string(raw));
+  }
+  return static_cast<TerminationReason>(raw);
+}
+
+}  // namespace
+
+void write_record(std::ostream& out, const DocRecord& record) {
+  io::write_u64(out, record.doc_index);
+  io::write_u64(out, record.kind);
+  io::write_u64(out, record.retried);
+  io::write_u64(out, record.wmd_to_sinkhorn);
+  io::write_u64(out, record.wmd_to_lower);
+  if (record.kind == 1) {
+    io::write_u64(out, record.flipped);
+    io::write_u64(out, record.attack.success ? 1 : 0);
+    io::write_u64(out, static_cast<std::uint64_t>(record.attack.termination));
+    io::write_double(out, record.attack.final_target_proba);
+    io::write_u64(out, record.attack.sentences_changed);
+    io::write_u64(out, record.attack.words_changed);
+    io::write_u64(out, record.attack.queries);
+    io::write_document(out, record.attack.adv_doc);
+  } else if (record.kind == 2) {
+    io::write_u64(out, static_cast<std::uint64_t>(record.attack.termination));
+    io::write_string(out, record.error);
+  }
+}
+
+DocRecord read_record(std::istream& in) {
+  DocRecord record;
+  record.doc_index = io::read_u64(in);
+  record.kind = io::read_u64(in);
+  if (record.kind > 2) {
+    throw std::runtime_error("pipeline: unknown DocRecord kind " +
+                             std::to_string(record.kind));
+  }
+  record.retried = io::read_u64(in);
+  record.wmd_to_sinkhorn = io::read_u64(in);
+  record.wmd_to_lower = io::read_u64(in);
+  if (record.kind == 1) {
+    record.flipped = io::read_u64(in);
+    record.attack.success = io::read_u64(in) != 0;
+    record.attack.termination = read_termination(in);
+    record.attack.final_target_proba = io::read_double(in);
+    record.attack.sentences_changed =
+        static_cast<std::size_t>(io::read_u64(in));
+    record.attack.words_changed = static_cast<std::size_t>(io::read_u64(in));
+    record.attack.queries = static_cast<std::size_t>(io::read_u64(in));
+    record.attack.adv_doc = io::read_document(in);
+  } else if (record.kind == 2) {
+    record.attack.termination = read_termination(in);
+    record.error = io::read_string(in);
+  }
+  return record;
+}
+
+namespace {
+
+// Names the checkpoint layout: write_record, then attack.seconds after each
+// attacked record. A checkpoint in another layout is refused by its tag.
+constexpr const char* kCheckpointTag = "attack-checkpoint-v2";
 
 void write_checkpoint(const std::string& path,
                       const std::vector<DocRecord>& records) {
@@ -56,51 +121,25 @@ void write_checkpoint(const std::string& path,
   // mid-write leaves the previous checkpoint valid and a bit-flip is
   // detected at resume time.
   std::ostringstream out;
-  {
-    io::write_magic(out);
-    io::write_string(out, kCheckpointTag);
-    io::write_u64(out, records.size());
-    for (const DocRecord& r : records) {
-      io::write_u64(out, r.doc_index);
-      io::write_u64(out, r.kind);
-      io::write_u64(out, r.retried);
-      io::write_u64(out, r.wmd_to_sinkhorn);
-      io::write_u64(out, r.wmd_to_lower);
-      if (r.kind == 1) {
-        io::write_u64(out, r.flipped);
-        io::write_u64(out, r.attack.success ? 1 : 0);
-        io::write_u64(out, static_cast<std::uint64_t>(r.attack.termination));
-        io::write_double(out, r.attack.final_target_proba);
-        io::write_u64(out, r.attack.sentences_changed);
-        io::write_u64(out, r.attack.words_changed);
-        io::write_u64(out, r.attack.queries);
-        io::write_double(out, r.attack.seconds);
-        io::write_document(out, r.attack.adv_doc);
-      } else if (r.kind == 2) {
-        io::write_u64(out, static_cast<std::uint64_t>(r.attack.termination));
-        io::write_string(out, r.error);
-      }
-    }
-    if (!out) throw std::runtime_error("pipeline: checkpoint write failed");
+  io::write_magic(out);
+  io::write_string(out, kCheckpointTag);
+  io::write_u64(out, records.size());
+  for (const DocRecord& r : records) {
+    write_record(out, r);
+    if (r.kind == 1) io::write_double(out, r.attack.seconds);
   }
+  if (!out) throw std::runtime_error("pipeline: checkpoint write failed");
   io::save_artifact(path, out.str());
-}
-
-TerminationReason read_termination(std::istream& in) {
-  const std::uint64_t raw = io::read_u64(in);
-  if (raw > static_cast<std::uint64_t>(TerminationReason::kError)) {
-    throw std::runtime_error("pipeline: checkpoint has an invalid "
-                             "termination reason");
-  }
-  return static_cast<TerminationReason>(raw);
 }
 
 std::vector<DocRecord> read_checkpoint(const std::string& path,
                                        std::size_t num_docs) {
   std::istringstream in(io::load_artifact(path));
   io::read_magic(in);
-  if (io::read_string(in) != kCheckpointTag) {
-    throw std::runtime_error("pipeline: not an attack checkpoint: " + path);
+  const std::string tag = io::read_string(in);
+  if (tag != kCheckpointTag) {
+    throw std::runtime_error("pipeline: " + path + " is tagged '" + tag +
+                             "', not '" + kCheckpointTag + "'");
   }
   const std::uint64_t count = io::read_u64(in);
   if (count > num_docs) {
@@ -110,8 +149,7 @@ std::vector<DocRecord> read_checkpoint(const std::string& path,
   std::vector<DocRecord> records;
   records.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    DocRecord r;
-    r.doc_index = io::read_u64(in);
+    DocRecord r = read_record(in);
     const bool ordered =
         records.empty() || r.doc_index > records.back().doc_index;
     if (r.doc_index >= num_docs || !ordered) {
@@ -119,29 +157,7 @@ std::vector<DocRecord> read_checkpoint(const std::string& path,
           "pipeline: checkpoint document indices are out of range or "
           "unordered");
     }
-    r.kind = io::read_u64(in);
-    if (r.kind > 2) {
-      throw std::runtime_error("pipeline: checkpoint has an unknown record "
-                               "kind");
-    }
-    r.retried = io::read_u64(in);
-    r.wmd_to_sinkhorn = io::read_u64(in);
-    r.wmd_to_lower = io::read_u64(in);
-    if (r.kind == 1) {
-      r.flipped = io::read_u64(in);
-      r.attack.success = io::read_u64(in) != 0;
-      r.attack.termination = read_termination(in);
-      r.attack.final_target_proba = io::read_double(in);
-      r.attack.sentences_changed =
-          static_cast<std::size_t>(io::read_u64(in));
-      r.attack.words_changed = static_cast<std::size_t>(io::read_u64(in));
-      r.attack.queries = static_cast<std::size_t>(io::read_u64(in));
-      r.attack.seconds = io::read_double(in);
-      r.attack.adv_doc = io::read_document(in);
-    } else if (r.kind == 2) {
-      r.attack.termination = read_termination(in);
-      r.error = io::read_string(in);
-    }
+    if (r.kind == 1) r.attack.seconds = io::read_double(in);
     records.push_back(std::move(r));
   }
   return records;
@@ -173,14 +189,15 @@ std::size_t record_query_cost(const DocRecord& r) {
   return r.kind == 1 ? 2 + static_cast<std::size_t>(r.attack.queries) : 1;
 }
 
-/// Shared state of one parallel sweep: a self-dispatch cursor over the
+/// Shared state of one sweep: a self-dispatch cursor over the
 /// eligible-document list and an in-order commit buffer. Workers claim the
 /// next undispatched position, attack it on private resources, and park the
-/// finished record in done[pos]; the main thread folds/appends/checkpoints
-/// records strictly in ascending position order. halt stops further
-/// dispatch (stop request, sweep-budget exhaustion, or a fatal error) while
-/// in-flight documents drain, so the committed prefix is always
-/// contiguous — exactly what a serial run would have produced.
+/// finished record in done[pos]; the calling thread folds/appends/
+/// checkpoints records strictly in ascending position order (a lone worker
+/// runs on the calling thread and commits each record before it claims the
+/// next). halt stops further dispatch (stop request, sweep-budget
+/// exhaustion, or a fatal error) while in-flight documents drain, so the
+/// committed prefix is always contiguous — the same at every worker count.
 struct SweepState {
   Mutex mu;
   /// Signalled on every record completion, halt, and worker exit.
@@ -319,10 +336,10 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
   };
 
   // Attacks one document and builds its record. Called with the worker's
-  // own model / resources / Wmd — in the serial path those are the primary
-  // instances, in the parallel path per-worker replicas. FaultScope tags
-  // every injection point fired under it with "@doc<i>", so scoped
-  // injection rules hit the same document no matter which thread runs it.
+  // own model / resources / Wmd (worker 0 attacks with the primary model,
+  // but every worker has its own Wmd tally). FaultScope tags every
+  // injection point fired under it with "@doc<i>", so scoped injection
+  // rules hit the same document no matter which thread runs it.
   const auto process_doc = [&](std::size_t doc_index,
                                const TextClassifier& worker_model,
                                const AttackResources& worker_resources,
@@ -339,8 +356,7 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
       const WmdDegradation before = worker_wmd.degradation();
       Outcome<JointAttackResult> outcome = run_attack_isolated(
           worker_model, doc, target, worker_resources, config.joint);
-      if (config.retry_relaxed && config.joint.deadline_ms > 0.0 &&
-          outcome.ok() &&
+      if (config.joint.deadline_ms > 0.0 && outcome.ok() &&
           outcome.value().termination ==
               TerminationReason::kDeadlineExceeded) {
         // One retry with a relaxed budget; keep the retry only if it ran.
@@ -371,8 +387,8 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
   };
 
   // Commits one finished record: fold into the aggregates, append to the
-  // checkpoint stream, advance the cadence. The single commit path both
-  // loops share — records always land in ascending doc_index order.
+  // checkpoint stream, advance the cadence. Records always land here in
+  // ascending doc_index order, on the calling thread.
   const auto commit_record = [&](DocRecord record) {
     apply_record(record);
     records.push_back(std::move(record));
@@ -380,196 +396,176 @@ AttackEvalResult evaluate_attack(const TextClassifier& model,
     maybe_checkpoint(/*force=*/false);
   };
 
+  // Eligible docs: from resume_from, skipping empty ones, capped by the
+  // remaining doc budget. Precomputing the list makes dispatch order — and
+  // therefore the committed prefix — independent of scheduling.
+  std::vector<std::size_t> eligible;
+  const std::size_t remaining_docs =
+      result.docs_evaluated >= attack_budget
+          ? 0
+          : attack_budget - result.docs_evaluated;
+  for (std::size_t doc_index = resume_from;
+       doc_index < task.test.docs.size() && eligible.size() < remaining_docs;
+       ++doc_index) {
+    if (!task.test.docs[doc_index].flatten().empty()) {
+      eligible.push_back(doc_index);
+    }
+  }
+
   bool stop_drained = false;
   bool sweep_exhausted = false;
   bool deadline_drained = false;
-
-  if (config.threads <= 1) {
-    // ---- Serial sweep (the original path) --------------------------------
-    for (std::size_t doc_index = resume_from;
-         doc_index < task.test.docs.size(); ++doc_index) {
-      if (result.docs_evaluated >= attack_budget) break;
-      const Document& doc = task.test.docs[doc_index];
-      if (doc.flatten().empty()) continue;
-      // Both polls sit after the empty-doc skip, mirroring the parallel
-      // path where only eligible (non-empty) documents reach dispatch.
-      if (StopToken::instance().stop_requested()) {
-        stop_drained = true;
-        break;
-      }
-      if (sweep_limited && sweep_budget.exhausted()) {
-        sweep_exhausted = true;
-        break;
-      }
-      if (config.sweep_deadline.expired()) {
-        deadline_drained = true;
-        break;
-      }
-      DocRecord record =
-          process_doc(doc_index, model, resources, context.wmd());
-      // Post-hoc accounting: the doc already ran, so only the clamped total
-      // matters, not the grant.
-      (void)sweep_budget.charge_up_to(record_query_cost(record));
-      commit_record(std::move(record));
+  if (!eligible.empty()) {
+    ADVTEXT_CHECK(config.threads <= 1 || config.make_model_replica != nullptr)
+        << "evaluate_attack: threads > 1 requires make_model_replica "
+           "(every extra worker needs its own classifier; see "
+           "AttackEvalConfig::make_model_replica)";
+    std::size_t workers =
+        std::clamp<std::size_t>(config.threads, 1, eligible.size());
+    // Resource governance: each extra worker costs a model replica.
+    // Estimate its footprint from the dominant tensor (the embedding
+    // table) and reserve against the process MemoryBudget; a denial
+    // degrades the worker count toward one instead of allocating past the
+    // budget — safe, because results are bitwise-identical at any worker
+    // count.
+    const std::size_t replica_bytes =
+        model.embedding_table().size() * sizeof(float) +
+        (std::size_t{1} << 16);
+    std::vector<MemoryReservation> replica_memory;
+    replica_memory.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) {
+      MemoryReservation reserved =
+          MemoryReservation::try_acquire(replica_bytes);
+      if (!reserved.ok()) break;
+      replica_memory.push_back(std::move(reserved));
     }
-  } else {
-    // ---- Parallel sweep: K workers, in-order commit ----------------------
-    // Eligible docs = exactly the documents the serial loop would evaluate:
-    // from resume_from, skipping empty ones, capped by the remaining doc
-    // budget. Precomputing the list makes dispatch order — and therefore
-    // the committed prefix — independent of scheduling.
-    std::vector<std::size_t> eligible;
-    const std::size_t remaining_docs =
-        result.docs_evaluated >= attack_budget
-            ? 0
-            : attack_budget - result.docs_evaluated;
-    for (std::size_t doc_index = resume_from;
-         doc_index < task.test.docs.size() && eligible.size() < remaining_docs;
-         ++doc_index) {
-      if (!task.test.docs[doc_index].flatten().empty()) {
-        eligible.push_back(doc_index);
-      }
+    workers = 1 + replica_memory.size();
+    // Worker 0 attacks with the primary model; workers 1..K-1 get
+    // replicas. Every worker, worker 0 included, gets its own Wmd copy
+    // (fresh tally), so per-doc degradation deltas never mix across
+    // workers or across sweeps that share one TaskAttackContext.
+    std::vector<std::unique_ptr<TextClassifier>> replicas;
+    replicas.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) {
+      replicas.push_back(config.make_model_replica());
+      ADVTEXT_CHECK(replicas.back() != nullptr)
+          << "evaluate_attack: make_model_replica returned null";
+    }
+    std::vector<Wmd> worker_wmds;
+    worker_wmds.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      worker_wmds.emplace_back(context.wmd());
+    }
+    SweepState st;
+    st.done.resize(eligible.size());
+    {
+      MutexLock lock(st.mu);
+      st.active = workers;
     }
 
-    if (!eligible.empty()) {
-      std::size_t workers =
-          config.threads < eligible.size() ? config.threads : eligible.size();
-      ADVTEXT_CHECK(config.make_model_replica != nullptr)
-          << "evaluate_attack: threads > 1 requires make_model_replica "
-             "(every extra worker needs its own classifier; see "
-             "AttackEvalConfig::make_model_replica)";
-      // Resource governance: each extra worker costs a model replica.
-      // Estimate its footprint from the dominant tensor (the embedding
-      // table) and reserve against the process MemoryBudget; a denial
-      // degrades the worker count toward serial instead of allocating past
-      // the budget — safe, because results are bitwise-identical at any
-      // worker count.
-      const std::size_t replica_bytes =
-          model.embedding_table().size() * sizeof(float) +
-          (std::size_t{1} << 16);
-      std::vector<MemoryReservation> replica_memory;
-      replica_memory.reserve(workers - 1);
-      for (std::size_t w = 1; w < workers; ++w) {
-        MemoryReservation reserved =
-            MemoryReservation::try_acquire(replica_bytes);
-        if (!reserved.ok()) break;
-        replica_memory.push_back(std::move(reserved));
-      }
-      workers = 1 + replica_memory.size();
-      // Worker 0 attacks with the primary model; workers 1..K-1 get
-      // replicas. Each worker also gets its own Wmd copy (fresh tally) so
-      // per-doc degradation deltas never mix across threads.
-      std::vector<std::unique_ptr<TextClassifier>> replicas;
-      replicas.reserve(workers - 1);
-      for (std::size_t w = 1; w < workers; ++w) {
-        replicas.push_back(config.make_model_replica());
-        ADVTEXT_CHECK(replicas.back() != nullptr)
-            << "evaluate_attack: make_model_replica returned null";
-      }
-      std::vector<Wmd> worker_wmds;
-      worker_wmds.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        worker_wmds.emplace_back(context.wmd());
-      }
-      SweepState st;
-      st.done.resize(eligible.size());
-      {
-        MutexLock lock(st.mu);
-        st.active = workers;
-      }
-
-      const auto worker_loop = [&](std::size_t worker_id) {
-        const TextClassifier& worker_model =
-            worker_id == 0 ? model : *replicas[worker_id - 1];
-        AttackResources worker_resources = resources;
-        worker_resources.wmd = &worker_wmds[worker_id];
-        Heartbeat* const heart = ThreadPool::current();
-        while (true) {
-          // Each dispatch round is observable progress for any watchdog
-          // over this pool (per-doc granularity).
-          if (heart != nullptr) heart->beat();
-          std::size_t pos = 0;
-          {
-            MutexLock lock(st.mu);
-            if (st.halt || st.next >= eligible.size()) break;
-            if (StopToken::instance().stop_requested()) {
-              st.halt = true;
-              st.stopped = true;
-              st.progress.notify_all();
-              break;
-            }
-            if (sweep_limited && sweep_budget.exhausted()) {
-              st.halt = true;
-              st.budget_stop = true;
-              st.progress.notify_all();
-              break;
-            }
-            if (config.sweep_deadline.expired()) {
-              st.halt = true;
-              st.deadline_stop = true;
-              st.progress.notify_all();
-              break;
-            }
-            pos = st.next++;
-          }
-          try {
-            DocRecord record =
-                process_doc(eligible[pos], worker_model, worker_resources,
-                            worker_wmds[worker_id]);
-            // Post-hoc accounting, as in the serial sweep: grant unused.
-            (void)sweep_budget.charge_up_to(record_query_cost(record));
-            MutexLock lock(st.mu);
-            st.done[pos] = std::make_unique<DocRecord>(std::move(record));
-            st.progress.notify_all();
-          } catch (...) {
-            // Anything escaping process_doc is a contract violation
-            // (runtime errors were absorbed per-doc): stop dispatch, stash
-            // for the main thread, let the sweep drain.
-            MutexLock lock(st.mu);
-            if (!st.fatal) st.fatal = std::current_exception();
+    const auto worker_loop = [&](std::size_t worker_id) {
+      const TextClassifier& worker_model =
+          worker_id == 0 ? model : *replicas[worker_id - 1];
+      AttackResources worker_resources = resources;
+      worker_resources.wmd = &worker_wmds[worker_id];
+      Heartbeat* const heart = ThreadPool::current();
+      while (true) {
+        // Each dispatch round is observable progress for any watchdog
+        // over the running pool (per-doc granularity).
+        if (heart != nullptr) heart->beat();
+        std::size_t pos = 0;
+        {
+          MutexLock lock(st.mu);
+          if (st.halt || st.next >= eligible.size()) break;
+          if (StopToken::instance().stop_requested()) {
             st.halt = true;
+            st.stopped = true;
             st.progress.notify_all();
             break;
           }
-        }
-        MutexLock lock(st.mu);
-        --st.active;
-        st.progress.notify_all();
-      };
-
-      std::exception_ptr fatal;
-      {
-        ThreadPool pool(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-          // A fresh pool never rejects; the return only matters at shutdown.
-          (void)pool.submit([&worker_loop, w] { worker_loop(w); });
-        }
-        // In-order commit: block on the next position until its record (or
-        // the news that it will never come) arrives. Folding and
-        // checkpointing happen only here, on this thread, in doc order.
-        for (std::size_t commit = 0; commit < eligible.size(); ++commit) {
-          std::unique_ptr<DocRecord> record;
-          {
-            MutexLock lock(st.mu);
-            while (st.done[commit] == nullptr && st.active > 0) {
-              st.progress.wait(st.mu);
-            }
-            if (st.done[commit] == nullptr) break;  // halted before this doc
-            record = std::move(st.done[commit]);
+          if (sweep_limited && sweep_budget.exhausted()) {
+            st.halt = true;
+            st.budget_stop = true;
+            st.progress.notify_all();
+            break;
           }
-          commit_record(std::move(*record));
+          if (config.sweep_deadline.expired()) {
+            st.halt = true;
+            st.deadline_stop = true;
+            st.progress.notify_all();
+            break;
+          }
+          pos = st.next++;
         }
-        pool.wait_idle();
-        MutexLock lock(st.mu);
-        stop_drained = st.stopped;
-        sweep_exhausted = st.budget_stop;
-        deadline_drained = st.deadline_stop;
-        fatal = st.fatal;
+        try {
+          DocRecord record =
+              process_doc(eligible[pos], worker_model, worker_resources,
+                          worker_wmds[worker_id]);
+          // Post-hoc accounting: the doc already ran, so only the clamped
+          // total matters, not the grant.
+          (void)sweep_budget.charge_up_to(record_query_cost(record));
+          if (workers == 1) {
+            // The lone worker runs on the calling thread and claims
+            // positions in order, so it commits each record before the
+            // next dispatch.
+            commit_record(std::move(record));
+            continue;
+          }
+          MutexLock lock(st.mu);
+          st.done[pos] = std::make_unique<DocRecord>(std::move(record));
+          st.progress.notify_all();
+        } catch (...) {
+          // Anything escaping process_doc is a contract violation
+          // (runtime errors were absorbed per-doc): stop dispatch, stash
+          // for the calling thread, let the sweep drain.
+          MutexLock lock(st.mu);
+          if (!st.fatal) st.fatal = std::current_exception();
+          st.halt = true;
+          st.progress.notify_all();
+          break;
+        }
       }
-      // Propagate contract violations exactly like the serial loop would
-      // have (periodic checkpoints already persisted the committed prefix).
-      if (fatal) std::rethrow_exception(fatal);
+      MutexLock lock(st.mu);
+      --st.active;
+      st.progress.notify_all();
+    };
+
+    if (workers == 1) {
+      worker_loop(0);
+    } else {
+      ThreadPool pool(workers);
+      for (std::size_t w = 0; w < workers; ++w) {
+        // A fresh pool never rejects; the return only matters at shutdown.
+        (void)pool.submit([&worker_loop, w] { worker_loop(w); });
+      }
+      // In-order commit: block on the next position until its record (or
+      // the news that it will never come) arrives. Folding and
+      // checkpointing happen only here, on this thread, in doc order.
+      for (std::size_t commit = 0; commit < eligible.size(); ++commit) {
+        std::unique_ptr<DocRecord> record;
+        {
+          MutexLock lock(st.mu);
+          while (st.done[commit] == nullptr && st.active > 0) {
+            st.progress.wait(st.mu);
+          }
+          if (st.done[commit] == nullptr) break;  // halted before this doc
+          record = std::move(st.done[commit]);
+        }
+        commit_record(std::move(*record));
+      }
+      pool.wait_idle();
     }
+    std::exception_ptr fatal;
+    {
+      MutexLock lock(st.mu);
+      stop_drained = st.stopped;
+      sweep_exhausted = st.budget_stop;
+      deadline_drained = st.deadline_stop;
+      fatal = st.fatal;
+    }
+    // Propagate contract violations (periodic checkpoints already
+    // persisted the committed prefix).
+    if (fatal) std::rethrow_exception(fatal);
   }
   maybe_checkpoint(/*force=*/true);
 

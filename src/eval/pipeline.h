@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,15 +60,25 @@ struct DocRecord {
   std::string error;          ///< kind 2
 };
 
+/// The one byte layout of a DocRecord, shared by the sweep checkpoint, the
+/// daemon's DocResult frames and result artifacts, and `--records-out`
+/// dumps. It excludes attack.seconds: timing is a measurement of one run,
+/// not replayable state, so the bytes of an uninterrupted and a resumed
+/// run agree (the checkpoint appends the seconds after each attacked
+/// record). read_record leaves attack.seconds 0.0 and throws
+/// std::runtime_error on an unknown kind or termination reason.
+void write_record(std::ostream& out, const DocRecord& record);
+DocRecord read_record(std::istream& in);
+
 struct AttackEvalConfig {
+  /// Per-document attack. A document whose attack ends on joint.deadline_ms
+  /// is retried once with a relaxed configuration (4x the deadline,
+  /// sentence phase disabled) before the sweep gives up on it.
   JointAttackConfig joint;
   /// Attack at most this many test documents (0 = all). Documents the
   /// clean model already misclassifies are not attacked (they already
   /// count against adversarial accuracy).
   std::size_t max_docs = 0;
-  /// Retry a deadline-killed document once with a relaxed configuration
-  /// (4x the deadline, sentence phase disabled) before giving up on it.
-  bool retry_relaxed = true;
   /// Periodically persist per-document results to this path (tmp file +
   /// atomic rename); empty disables checkpointing.
   std::string checkpoint_path;
@@ -83,13 +94,14 @@ struct AttackEvalConfig {
   /// CLI this way so every fault schedule still converges to the clean
   /// sweep's output.
   bool resume_fallback_fresh = false;
-  /// Attack worker threads. 1 (the default) runs the original serial loop;
-  /// K > 1 attacks up to K documents concurrently on a sync.h ThreadPool
-  /// while records are folded, appended, and checkpointed strictly in
-  /// ascending doc_index order — for a deterministic model (no MC dropout)
-  /// and no per-doc deadline, results and checkpoint files are
-  /// bitwise-identical to the serial run (timing fields excepted), and
-  /// serial and parallel runs resume each other's checkpoints.
+  /// Attack worker threads. Every value runs the same sweep: records are
+  /// folded, appended, and checkpointed strictly in ascending doc_index
+  /// order. 1 (the default) runs the one worker on the calling thread and
+  /// spawns none; K > 1 attacks up to K documents concurrently on a sync.h
+  /// ThreadPool. For a deterministic model (no MC dropout) and no per-doc
+  /// deadline, results and checkpoint files are bitwise-identical at every
+  /// worker count (timing fields excepted), and runs at different counts
+  /// resume each other's checkpoints.
   std::size_t threads = 1;
   /// Required when threads > 1: builds one independent model replica per
   /// extra worker (worker 0 uses `model` itself). Contract: each call
@@ -99,8 +111,8 @@ struct AttackEvalConfig {
   /// Stochastic inference (MC dropout) breaks the bitwise guarantee; leave
   /// it disabled for parity-sensitive sweeps. Replicas are charged against
   /// the process MemoryBudget: when the budget cannot cover an extra
-  /// replica the sweep degrades its worker count toward serial (results
-  /// are bitwise-identical at any worker count, so this is always safe).
+  /// replica the sweep degrades its worker count toward one (results are
+  /// bitwise-identical at any worker count, so this is always safe).
   std::function<std::unique_ptr<TextClassifier>()> make_model_replica;
   /// Sweep-wide query cap shared by all workers (0 = unlimited), distinct
   /// from the per-document joint.max_queries. Admission control: once the

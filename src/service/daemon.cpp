@@ -27,6 +27,19 @@ constexpr const char* kResultTag = "advtextd-result";
 /// and recovery must not orphan every job behind it.
 constexpr std::uint64_t kRecoveryScanSlack = 16;
 
+/// Accept-poll granularity: how often the accept loop re-checks its stop
+/// conditions when idle.
+constexpr double kAcceptTimeoutMs = 50.0;
+
+/// Watchdog poll cadence (detection slack on top of the stall bound).
+constexpr double kWatchdogPollMs = 50.0;
+
+/// MemoryBudget bytes reserved per admitted job (stream frames, record
+/// buffer, checkpoint payload). When the process budget cannot cover it the
+/// job is shed with a typed RejectReason::kResource — overload shedding for
+/// memory instead of an OOM abort.
+constexpr std::size_t kJobMemoryBytes = std::size_t{1} << 20;
+
 WordAttackMethod decode_method(std::uint64_t method) {
   switch (method) {
     case 1:
@@ -114,8 +127,7 @@ AttackDaemon::AttackDaemon(const SynthTask& task,
                            const TaskAttackContext& context,
                            std::vector<ServedModel> models,
                            const DaemonConfig& config)
-    : task_(task), context_(context), config_(config),
-      retry_(config.io_retry) {
+    : task_(task), context_(context), config_(config) {
   ADVTEXT_CHECK(!config_.state_dir.empty())
       << "AttackDaemon needs a state_dir (its recoverable state lives there)";
   ADVTEXT_CHECK(config_.workers >= 1) << "AttackDaemon needs >= 1 worker";
@@ -202,7 +214,7 @@ void AttackDaemon::handle_connection(Connection conn) {
           // Resource governance: a job that cannot reserve its working
           // memory is shed with a typed rejection — memory pressure behaves
           // like overload, never like an OOM abort.
-          memory = MemoryReservation::try_acquire(config_.job_memory_bytes);
+          memory = MemoryReservation::try_acquire(kJobMemoryBytes);
           if (!memory.ok()) {
             rejected = true;
             ++stats_.rejected_resource;
@@ -678,7 +690,7 @@ TerminationReason AttackDaemon::serve() {
     if (config_.watchdog_stall_ms > 0.0) {
       Watchdog::Config wd;
       wd.stall_ms = config_.watchdog_stall_ms;
-      wd.poll_ms = config_.watchdog_poll_ms;
+      wd.poll_ms = kWatchdogPollMs;
       watchdog.emplace(hearts, wd,
                        [this, hearts](std::size_t index,
                                       const std::string& tag,
@@ -704,7 +716,7 @@ TerminationReason AttackDaemon::serve() {
       }
       std::optional<Connection> conn;
       try {
-        conn = server.accept(config_.accept_timeout_ms);
+        conn = server.accept(kAcceptTimeoutMs);
         // ADVTEXT_ALLOW(severity-drop): accept-loop failure — no job exists, so no severity to fold; counted in accept_failures and the daemon keeps listening by design
       } catch (const std::runtime_error&) {
         // Includes injected service.accept faults: count, keep listening.

@@ -71,31 +71,19 @@ struct DaemonConfig {
   double max_job_deadline_ms = 0.0;
   /// Checkpoint cadence while a job runs (AttackEvalConfig::checkpoint_every).
   std::size_t checkpoint_every = 4;
-  /// Accept-poll granularity: how often the accept loop re-checks its stop
-  /// conditions when idle.
-  double accept_timeout_ms = 50.0;
   /// Receive timeout for a connected client's request frame: a stalled
   /// client costs at most this long, then its connection dies.
   double read_timeout_ms = 2000.0;
   /// Exit the accept loop after admitting this many jobs (0 = serve until
   /// stopped). Tests and benches use it for a deterministic drain.
   std::size_t max_jobs = 0;
-  /// Retry policy for the daemon's own transient I/O: job journals, result
-  /// artifacts, and streamed result frames.
-  RetryPolicy::Config io_retry;
   /// Watchdog stall bound: a worker that is busy on a job but makes no
   /// observable progress (no committed doc, no queue-wait wake) for this
   /// long is reported stalled — the client gets a typed kDeadlineExceeded
-  /// JobComplete within stall + poll, the daemon keeps serving, and the
-  /// journaled job stays recoverable. 0 disables the watchdog.
+  /// JobComplete within the stall bound plus one 50 ms watchdog poll, the
+  /// daemon keeps serving, and the journaled job stays recoverable. 0
+  /// disables the watchdog.
   double watchdog_stall_ms = 30000.0;
-  /// Watchdog poll cadence (detection slack on top of the stall bound).
-  double watchdog_poll_ms = 50.0;
-  /// MemoryBudget bytes reserved per admitted job (stream frames, record
-  /// buffer, checkpoint payload). When the process budget cannot cover it
-  /// the job is shed with a typed RejectReason::kResource — overload
-  /// shedding for memory instead of an OOM abort.
-  std::size_t job_memory_bytes = std::size_t{1} << 20;
 };
 
 /// Operational counters, readable after serve()/recover() return.
@@ -111,7 +99,7 @@ struct DaemonStats {
   std::size_t rejected_unknown_model = 0;
   std::size_t rejected_malformed = 0;
   /// Jobs shed at admission because the process MemoryBudget could not
-  /// cover job_memory_bytes (typed RejectReason::kResource).
+  /// cover a job's reservation (typed RejectReason::kResource).
   std::size_t rejected_resource = 0;
   /// Stall episodes the watchdog settled: the client got a typed
   /// kDeadlineExceeded JobComplete while the worker stayed stuck. The job's
@@ -221,6 +209,8 @@ class AttackDaemon {
   const TaskAttackContext& context_;
   std::map<std::string, const TextClassifier*> models_;
   DaemonConfig config_;
+  /// Default-configured retries for the daemon's own transient I/O: job
+  /// journals, result artifacts, and streamed result frames.
   RetryPolicy retry_;
 
   mutable Mutex mu_;

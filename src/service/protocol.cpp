@@ -3,7 +3,6 @@
 #include <sstream>
 #include <string>
 
-#include "src/text/serialize.h"
 #include "src/util/serialize.h"
 
 namespace advtext {
@@ -241,57 +240,6 @@ JobComplete decode_job_complete(const std::string& payload) {
         complete.adversarial_accuracy = io::read_double(in);
         return complete;
       });
-}
-
-void write_record(std::ostream& out, const DocRecord& record) {
-  io::write_u64(out, record.doc_index);
-  io::write_u64(out, record.kind);
-  io::write_u64(out, record.retried);
-  io::write_u64(out, record.wmd_to_sinkhorn);
-  io::write_u64(out, record.wmd_to_lower);
-  if (record.kind == 1) {
-    io::write_u64(out, record.flipped);
-    io::write_u64(out, record.attack.success ? 1 : 0);
-    io::write_u64(out, static_cast<std::uint64_t>(record.attack.termination));
-    io::write_double(out, record.attack.final_target_proba);
-    io::write_u64(out, record.attack.sentences_changed);
-    io::write_u64(out, record.attack.words_changed);
-    io::write_u64(out, record.attack.queries);
-    // attack.seconds deliberately omitted: timing is not replayable state,
-    // and leaving it out keeps result streams bitwise-deterministic.
-    io::write_document(out, record.attack.adv_doc);
-  } else if (record.kind == 2) {
-    io::write_u64(out, static_cast<std::uint64_t>(record.attack.termination));
-    io::write_string(out, record.error);
-  }
-}
-
-DocRecord read_record(std::istream& in) {
-  DocRecord record;
-  record.doc_index = io::read_u64(in);
-  record.kind = io::read_u64(in);
-  if (record.kind > 2) {
-    throw ProtocolError("protocol: unknown DocRecord kind " +
-                        std::to_string(record.kind));
-  }
-  record.retried = io::read_u64(in);
-  record.wmd_to_sinkhorn = io::read_u64(in);
-  record.wmd_to_lower = io::read_u64(in);
-  if (record.kind == 1) {
-    record.flipped = io::read_u64(in);
-    record.attack.success = io::read_u64(in) != 0;
-    record.attack.termination = read_wire_termination(in);
-    record.attack.final_target_proba = io::read_double(in);
-    record.attack.sentences_changed =
-        static_cast<std::size_t>(io::read_u64(in));
-    record.attack.words_changed = static_cast<std::size_t>(io::read_u64(in));
-    record.attack.queries = static_cast<std::size_t>(io::read_u64(in));
-    record.attack.adv_doc = io::read_document(in);
-  } else if (record.kind == 2) {
-    record.attack.termination = read_wire_termination(in);
-    record.error = io::read_string(in);
-  }
-  return record;
 }
 
 }  // namespace advtext

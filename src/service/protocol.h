@@ -15,12 +15,13 @@
 //      in ascending doc_index order as the sweep commits them, then one
 //      JobComplete with the job's aggregate summary.
 //
-// Determinism contract: the wire encoding of a DocRecord deliberately
-// EXCLUDES attack.seconds — timing is a measurement of a particular run,
-// not replayable state — so the byte stream a client sees (and the result
-// artifact the daemon persists, which reuses this encoding) is
-// bitwise-identical between an uninterrupted job and a killed-and-recovered
-// one. Everything else in the record is replayed raw from the checkpoint.
+// Determinism contract: the wire encoding of a DocRecord (write_record,
+// src/eval/pipeline.h) deliberately EXCLUDES attack.seconds — timing is a
+// measurement of a particular run, not replayable state — so the byte
+// stream a client sees (and the result artifact the daemon persists, which
+// reuses this encoding) is bitwise-identical between an uninterrupted job
+// and a killed-and-recovered one. Everything else in the record is
+// replayed raw from the checkpoint.
 //
 // Malformed input (bad tag, out-of-range enum, trailing bytes, truncated
 // payload) throws ProtocolError: the daemon kills that connection with a
@@ -30,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
 
@@ -133,11 +133,5 @@ JobAccepted decode_job_accepted(const std::string& payload);
 JobRejected decode_job_rejected(const std::string& payload);
 DocRecord decode_doc_result(const std::string& payload);
 JobComplete decode_job_complete(const std::string& payload);
-
-// Stream-level DocRecord (de)serialization shared by the DocResult payload
-// and the daemon's persisted result artifacts. Excludes attack.seconds (see
-// the determinism contract above); read_record leaves it 0.0.
-void write_record(std::ostream& out, const DocRecord& record);
-DocRecord read_record(std::istream& in);
 
 }  // namespace advtext

@@ -36,9 +36,9 @@ class Wmd {
 
   /// Copy shares the embedding matrix reference and configuration but
   /// starts a *fresh* degradation tally: the tally is per-instance
-  /// accounting, not part of the metric. The parallel attack sweep copies
-  /// one configured Wmd per worker so per-doc degradation deltas never mix
-  /// across threads.
+  /// accounting, not part of the metric. The attack sweep copies one
+  /// configured Wmd per worker, worker 0 included, so per-doc degradation
+  /// deltas never mix across workers or across sweeps sharing a context.
   Wmd(const Wmd& other)
       : embeddings_(other.embeddings_), method_(other.method_) {}
   Wmd& operator=(const Wmd&) = delete;  // reference member pins assignment
@@ -50,8 +50,8 @@ class Wmd {
   /// state backed by per-instance atomics — concurrent distance() calls on
   /// one instance cannot corrupt the counters, and the snapshot is returned
   /// by value so callers never hold a reference into racing state. (The
-  /// parallel sweep still gives each worker its own copy: atomics make the
-  /// tally safe, not per-thread attributable.)
+  /// sweep still gives each worker its own copy: atomics make the tally
+  /// safe, not per-thread attributable.)
   WmdDegradation degradation() const {
     WmdDegradation snapshot;
     snapshot.to_sinkhorn = to_sinkhorn_.load(std::memory_order_relaxed);

@@ -25,7 +25,6 @@
 #include "src/nn/lstm.h"
 #include "src/nn/trainer.h"
 #include "src/nn/wcnn.h"
-#include "src/service/protocol.h"
 #include "src/util/robust.h"
 #include "src/util/rng.h"
 #include "src/util/stop_token.h"

@@ -31,6 +31,7 @@
 #include "src/util/stop_token.h"
 #include "src/util/stopwatch.h"
 #include "src/util/sync.h"
+#include "tests/state_dir.h"
 
 namespace advtext {
 namespace {
@@ -51,13 +52,6 @@ struct BudgetGuard {
 std::string test_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / ("advtext_chaos_" + name))
       .string();
-}
-
-std::string fresh_state_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / ("advtext_chaos_" + name);
-  std::filesystem::remove_all(dir);
-  return dir.string();
 }
 
 std::string slurp(const std::string& path) {
@@ -522,7 +516,8 @@ TEST_F(ChaosAttackFixture, ParallelSweepDegradesToSerialUnderMemoryPressure) {
 
 TEST_F(ChaosAttackFixture, TornResultFragmentIsReRunBitwiseIdentically) {
   InjectorGuard guard;  // bitwise claims need clean storage
-  const std::string state_dir = fresh_state_dir("torn_result");
+  const ScopedStateDir scoped_dir("advtext_chaos_", "torn_result");
+  const std::string& state_dir = scoped_dir.path();
   DaemonConfig config;
   config.state_dir = state_dir;
   config.workers = 1;
@@ -562,12 +557,12 @@ TEST_F(ChaosAttackFixture, TornResultFragmentIsReRunBitwiseIdentically) {
   // And a valid result IS a done-marker: one more recovery is a no-op.
   AttackDaemon done(*task_, *context_, {{"wcnn", model_}}, config);
   EXPECT_EQ(done.recover(), 0u);
-  std::filesystem::remove_all(state_dir);
 }
 
 TEST_F(ChaosAttackFixture, UnreadableJournalBecomesOneTypedErrorResult) {
   InjectorGuard guard;
-  const std::string state_dir = fresh_state_dir("torn_journal");
+  const ScopedStateDir scoped_dir("advtext_chaos_", "torn_journal");
+  const std::string& state_dir = scoped_dir.path();
   DaemonConfig config;
   config.state_dir = state_dir;
   config.workers = 1;
@@ -593,7 +588,6 @@ TEST_F(ChaosAttackFixture, UnreadableJournalBecomesOneTypedErrorResult) {
   AttackDaemon next(*task_, *context_, {{"wcnn", model_}}, config);
   EXPECT_EQ(next.recover(), 0u);
   EXPECT_EQ(next.stats().jobs_errored, 0u);
-  std::filesystem::remove_all(state_dir);
 }
 
 }  // namespace

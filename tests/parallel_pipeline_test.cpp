@@ -1,9 +1,10 @@
-// Parallel attack-sweep tests: the multi-threaded evaluate_attack path must
-// be observationally identical to the serial path — bitwise-equal results
-// and checkpoints (timing fields excepted), serial and parallel runs
-// resuming each other's checkpoints, a shared sweep-wide query budget,
-// SIGTERM draining to a valid in-order-prefix checkpoint, and per-document
-// fault isolation surviving concurrency.
+// Attack-sweep tests across worker counts: evaluate_attack must be
+// observationally identical at every thread count — bitwise-equal records,
+// results and checkpoints (timing fields excepted), one-worker and K-worker
+// runs resuming each other's checkpoints, a shared sweep-wide query budget,
+// SIGTERM draining to a valid in-order-prefix checkpoint, per-document
+// fault isolation surviving concurrency, and concurrent sweeps on one
+// context keeping their own WMD tallies.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +12,9 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/data/synthetic.h"
@@ -21,6 +24,7 @@
 #include "src/nn/wcnn.h"
 #include "src/util/robust.h"
 #include "src/util/stop_token.h"
+#include "src/util/sync.h"
 
 namespace advtext {
 namespace {
@@ -48,12 +52,15 @@ void copy_file(const std::string& from, const std::string& to) {
 
 // Forwards every oracle to the wrapped classifier bitwise (the swap
 // evaluator and gradients come straight from the inner model, so attack
-// numerics are untouched) but raises SIGTERM on the Nth predict_proba call
-// — a deterministic way to deliver a stop request mid-sweep.
+// numerics are untouched) but counts predict_proba calls down on a shared
+// counter and raises SIGTERM on the call that reaches zero — a
+// deterministic way to deliver a stop request mid-sweep. Wrappers sharing
+// one counter count every worker's calls.
 class SigtermAfterNCalls : public TextClassifier {
  public:
-  SigtermAfterNCalls(const TextClassifier& inner, std::size_t raise_after)
-      : inner_(inner), remaining_(raise_after) {}
+  SigtermAfterNCalls(const TextClassifier& inner,
+                     std::atomic<std::size_t>& remaining)
+      : inner_(inner), remaining_(remaining) {}
 
   std::size_t num_classes() const override { return inner_.num_classes(); }
   std::size_t embedding_dim() const override {
@@ -79,7 +86,7 @@ class SigtermAfterNCalls : public TextClassifier {
 
  private:
   const TextClassifier& inner_;
-  mutable std::atomic<std::size_t> remaining_;
+  std::atomic<std::size_t>& remaining_;
 };
 
 // Everything except the timing fields (mean_seconds_per_doc and
@@ -185,6 +192,20 @@ class ParallelPipelineFixture : public ::testing::Test {
     return evaluate_attack(*model_, *task_, *context_, config);
   }
 
+  // The sweep's on_commit stream in write_record bytes: every committed
+  // record, including the per-record wmd_to_* fields that the aggregate
+  // comparison folds into two sums.
+  static std::string run_recorded(AttackEvalConfig config,
+                                  AttackEvalResult* result = nullptr) {
+    std::ostringstream records;
+    config.on_commit = [&records](const DocRecord& record) {
+      write_record(records, record);
+    };
+    AttackEvalResult swept = run(config);
+    if (result != nullptr) *result = std::move(swept);
+    return records.str();
+  }
+
   static SynthTask* task_;
   static TaskAttackContext* context_;
   static WCnn* model_;
@@ -232,16 +253,46 @@ TEST_F(ParallelPipelineFixture, WmdCopyStartsAFreshDegradationTally) {
   EXPECT_GT(before.total(), 0u);  // snapshot is by value, unaffected
 }
 
+// One worker (on the calling thread) and K workers run the same sweep: the
+// committed records match byte for byte, and so do the aggregates.
 TEST_F(ParallelPipelineFixture, ParallelSweepMatchesSerialBitwise) {
   InjectorGuard guard;
-  const AttackEvalResult serial = run(sweep_config(1, 12));
+  AttackEvalResult serial;
+  const std::string serial_records = run_recorded(sweep_config(1, 12), &serial);
   EXPECT_EQ(serial.termination, TerminationReason::kSucceeded);
   EXPECT_EQ(serial.docs_evaluated, 12u);
-  for (const std::size_t threads : {2u, 4u}) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    const AttackEvalResult parallel = run(sweep_config(threads, 12));
+    AttackEvalResult parallel;
+    EXPECT_EQ(run_recorded(sweep_config(threads, 12), &parallel),
+              serial_records);
     expect_results_bitwise_equal(serial, parallel);
   }
+}
+
+// Two one-worker sweeps running at once on one context, as the daemon's
+// workers run its jobs, must each commit exactly a solo sweep's records.
+// Every exact WMD solve degrades here, so each record's wmd_to_sinkhorn
+// counts its own document's solves — and any tally the sweeps shared
+// would leak one sweep's degradations into the other's records.
+TEST_F(ParallelPipelineFixture, ConcurrentSweepsKeepTheirOwnWmdTally) {
+  InjectorGuard guard;
+  FaultInjector::instance().configure("transport.exact:1.0", /*seed=*/7);
+  AttackEvalResult solo_result;
+  const std::string solo = run_recorded(sweep_config(1, 12), &solo_result);
+  ASSERT_GT(solo_result.wmd_degradations.to_sinkhorn, 0u);
+
+  std::string concurrent[2];
+  {
+    ThreadPool pool(2);
+    for (std::string& records : concurrent) {
+      (void)pool.submit(
+          [&records] { records = run_recorded(sweep_config(1, 12)); });
+    }
+    pool.wait_idle();
+  }
+  EXPECT_EQ(concurrent[0], solo);
+  EXPECT_EQ(concurrent[1], solo);
 }
 
 TEST_F(ParallelPipelineFixture, SerialAndParallelResumeEachOther) {
@@ -355,16 +406,25 @@ TEST_F(ParallelPipelineFixture, SigtermDrainsToInOrderPrefixAndResumes) {
   const AttackEvalResult reference = run(sweep_config(1, 10));
 
   // Child process: install the stop token, then run a 2-worker sweep whose
-  // primary model delivers a real SIGTERM a few oracle calls into the
-  // sweep (evaluate_attack first spends one predict per test document on
-  // clean accuracy). In-flight documents must drain, the committed prefix
-  // must be checkpointed, and the run must report kStopped without dying.
+  // models deliver a real SIGTERM a few oracle calls into the sweep
+  // (evaluate_attack first spends one predict per test document on clean
+  // accuracy). The primary and its replica count down one counter, so the
+  // stop lands early whichever worker makes the calls. In-flight documents
+  // must drain, the committed prefix must be checkpointed, and the run
+  // must report kStopped without dying.
   const std::size_t raise_after = task_->test.docs.size() + 4;
   EXPECT_EXIT(
       {
         StopToken::instance().install();
-        const SigtermAfterNCalls raising(*model_, raise_after);
+        std::atomic<std::size_t> remaining{raise_after};
+        const SigtermAfterNCalls raising(*model_, remaining);
+        std::vector<std::unique_ptr<TextClassifier>> inner_replicas;
         AttackEvalConfig config = sweep_config(2, 10);
+        config.make_model_replica = [&]() -> std::unique_ptr<TextClassifier> {
+          inner_replicas.push_back(make_replica());
+          return std::make_unique<SigtermAfterNCalls>(*inner_replicas.back(),
+                                                      remaining);
+        };
         config.checkpoint_path = path;
         config.checkpoint_every = 1;
         const AttackEvalResult r =

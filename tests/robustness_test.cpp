@@ -3,10 +3,13 @@
 // evaluation pipeline, and checkpoint/resume.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "src/text/wmd.h"
 #include "src/util/rng.h"
 #include "src/util/robust.h"
+#include "src/util/serialize.h"
 
 namespace advtext {
 namespace {
@@ -482,7 +486,6 @@ TEST_F(RobustnessFixture, PerDocDeadlineBoundsEveryAttack) {
   AttackEvalConfig config;
   config.max_docs = 20;
   config.joint.deadline_ms = 10.0;
-  config.retry_relaxed = false;
   const AttackEvalResult result =
       evaluate_attack(*model_, *task_, *context_, config);
   EXPECT_EQ(result.docs_evaluated, 20u);
@@ -608,6 +611,35 @@ TEST_F(RobustnessFixture, ResumeRejectsCorruptCheckpoint) {
   config.resume = true;
   EXPECT_THROW(evaluate_attack(*model_, *task_, *context_, config),
                std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// A checkpoint written in an earlier record layout carries an earlier tag:
+// it is refused by that tag, inside a valid artifact envelope, rather than
+// misparsed field by field.
+TEST_F(RobustnessFixture, ResumeRefusesACheckpointInTheOldLayout) {
+  InjectorGuard guard;
+  const std::string path = ::testing::TempDir() +
+                           "advtext_robustness_old_layout_" +
+                           std::to_string(::getpid()) + ".bin";
+  std::ostringstream payload;
+  io::write_magic(payload);
+  io::write_string(payload, "attack-checkpoint");
+  io::write_u64(payload, 0);
+  io::save_artifact(path, payload.str());
+
+  AttackEvalConfig config;
+  config.max_docs = 4;
+  config.checkpoint_path = path;
+  config.resume = true;
+  try {
+    (void)evaluate_attack(*model_, *task_, *context_, config);
+    ADD_FAILURE() << "a checkpoint in the old layout was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("'attack-checkpoint'"),
+              std::string::npos)
+        << error.what();
+  }
   std::remove(path.c_str());
 }
 

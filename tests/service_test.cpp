@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
+#include <deque>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -27,6 +27,7 @@
 #include "src/util/serialize.h"
 #include "src/util/stop_token.h"
 #include "src/util/sync.h"
+#include "tests/state_dir.h"
 
 namespace advtext {
 namespace {
@@ -49,13 +50,6 @@ std::string unique_socket_path() {
   static std::atomic<int> counter{0};
   return "/tmp/advtext_svc_" + std::to_string(::getpid()) + "_" +
          std::to_string(counter.fetch_add(1)) + ".sock";
-}
-
-std::string fresh_state_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / ("advtext_svc_" + name);
-  std::filesystem::remove_all(dir);
-  return dir.string();
 }
 
 std::string slurp(const std::string& path) {
@@ -331,10 +325,10 @@ class ServiceFixture : public ::testing::Test {
   }
   void TearDown() override { StopToken::instance().clear(); }
 
-  DaemonConfig base_config(const std::string& name) const {
+  DaemonConfig base_config(const std::string& name) {
     DaemonConfig config;
     config.socket_path = unique_socket_path();
-    config.state_dir = fresh_state_dir(name);
+    config.state_dir = state_dirs_.emplace_back("advtext_svc_", name).path();
     config.workers = 1;
     config.checkpoint_every = 1;
     return config;
@@ -352,6 +346,10 @@ class ServiceFixture : public ::testing::Test {
   static SynthTask* task_;
   static TaskAttackContext* context_;
   static WCnn* model_;
+
+ private:
+  /// Removed when the fixture dies at the end of each test.
+  std::deque<ScopedStateDir> state_dirs_;
 };
 
 SynthTask* ServiceFixture::task_ = nullptr;
