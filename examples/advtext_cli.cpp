@@ -167,20 +167,16 @@ int cmd_train(const ArgParser& args) {
       static_cast<std::size_t>(args.get_int("max-rollbacks", 3));
   resilience.install_stop_token = true;
 
-  const std::size_t shards =
-      static_cast<std::size_t>(args.get_int("shards", 1));
-  TrainReport report;
-  if (shards > 1) {
-    const ShardedTrainReport sharded = train_classifier_sharded(
-        *model, [&] { return build_model(kind, task, args); }, task.train,
-        train, resilience, ShardConfig{shards});
-    report = sharded.train;
+  ShardConfig shards;
+  shards.shards = static_cast<std::size_t>(args.get_int("shards", 1));
+  shards.make_replica = [&] { return build_model(kind, task, args); };
+  const TrainReport report =
+      train_classifier(*model, task.train, train, resilience, shards);
+  if (shards.shards > 1) {
     std::printf("sharded training: %zu shards, %zu averaging rounds, "
                 "%zu dead shards\n",
-                sharded.shards, sharded.averaging_rounds,
-                sharded.dead_shards.size());
-  } else {
-    report = train_classifier(*model, task.train, train, resilience);
+                report.shards.size(), report.averaging_rounds,
+                report.dead_shards.size());
   }
   for (const std::string& warning : report.warnings) {
     std::fprintf(stderr, "train warning: %s\n", warning.c_str());
@@ -192,10 +188,11 @@ int cmd_train(const ArgParser& args) {
                                 report.snapshots_written +
                                 report.snapshot_write_failures >
                             0) {
+    // Every rollback backs the learning rate off once.
     std::printf(
         "resilience: resumed=%d, %zu rollbacks (%zu lr backoffs), %zu "
         "clipped steps, %zu snapshots (%zu failed writes)\n",
-        report.resumed ? 1 : 0, report.rollbacks, report.lr_backoffs,
+        report.resumed ? 1 : 0, report.rollbacks, report.rollbacks,
         report.clipped_steps, report.snapshots_written,
         report.snapshot_write_failures);
   }

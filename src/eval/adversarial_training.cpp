@@ -17,21 +17,6 @@ ResilienceConfig stage_resilience(const ResilienceConfig& base,
   return staged;
 }
 
-/// One training stage, serial or sharded per config.shards. The sharded
-/// path reuses `make_model` as the replica factory, so replicas share the
-/// primary's architecture and init by construction.
-TrainReport stage_train(
-    const std::function<std::unique_ptr<TrainableClassifier>()>& make_model,
-    TrainableClassifier& model, const Dataset& data,
-    const AdvTrainingConfig& config, const ResilienceConfig& resilience) {
-  if (config.shards <= 1) {
-    return train_classifier(model, data, config.train, resilience);
-  }
-  return train_classifier_sharded(model, make_model, data, config.train,
-                                  resilience, ShardConfig{config.shards})
-      .train;
-}
-
 }  // namespace
 
 AdvTrainingReport adversarial_training_experiment(
@@ -40,12 +25,15 @@ AdvTrainingReport adversarial_training_experiment(
     const AdvTrainingConfig& config) {
   AdvTrainingReport report;
   StopToken& stop = StopToken::instance();
+  // Both stages shard alike; `make_model` doubles as the replica factory,
+  // so replicas share the primary's architecture and init by construction.
+  const ShardConfig shards{config.shards, make_model};
 
   // ---- Before: clean training + attack ----
   auto model = make_model();
   report.train_before =
-      stage_train(make_model, *model, task.train, config,
-                  stage_resilience(config.resilience, ".pre"));
+      train_classifier(*model, task.train, config.train,
+                       stage_resilience(config.resilience, ".pre"), shards);
   report.termination =
       worse_of(report.termination, report.train_before.termination);
   if (report.termination >= TerminationReason::kStopped) return report;
@@ -89,8 +77,8 @@ AdvTrainingReport adversarial_training_experiment(
   // ---- After: retrain from scratch on the merged set + attack ----
   auto retrained = make_model();
   report.train_after =
-      stage_train(make_model, *retrained, augmented, config,
-                  stage_resilience(config.resilience, ".post"));
+      train_classifier(*retrained, augmented, config.train,
+                       stage_resilience(config.resilience, ".post"), shards);
   report.termination =
       worse_of(report.termination, report.train_after.termination);
   if (report.termination >= TerminationReason::kStopped) return report;

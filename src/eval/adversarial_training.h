@@ -30,10 +30,11 @@ struct AdvTrainingConfig {
   /// phase: "<path>.pre" for the clean model, "<path>.post" for the
   /// retrained one.
   ResilienceConfig resilience;
-  /// Data shards for both training stages (1 = serial). Shards > 1 train
-  /// replicas from `make_model` in parallel with epoch-boundary parameter
-  /// averaging (train_classifier_sharded); deterministic for a fixed shard
-  /// count, but a different count is a different (valid) training run.
+  /// Data shards for both training stages (1 = one loop on the calling
+  /// thread). Shards > 1 train replicas from `make_model` in parallel with
+  /// epoch-boundary parameter averaging (ShardConfig); deterministic for a
+  /// fixed shard count, but a different count is a different (valid)
+  /// training run.
   std::size_t shards = 1;
   std::uint64_t seed = 99;
 };

@@ -1,5 +1,5 @@
 // Training supervisor: checkpointed, self-healing execution of long
-// training loops.
+// training loops, on one data shard or on several in parallel.
 //
 // Every experiment in the paper sits on top of training runs — the
 // WCNN/LSTM classifiers, the skip-gram embeddings, and the adversarial-
@@ -10,9 +10,11 @@
 //   * snapshots  — a ResumableTraining loop serializes its complete state
 //                  (model params, optimizer moments, RNG streams, epoch /
 //                  batch cursor) at boundaries and every snapshot_every
-//                  steps. SnapshotRotation publishes generations
-//                  <base>.ckpt.1 (newest) .. .ckpt.K atomically with a
-//                  CRC32 + version footer; a truncated or bit-flipped
+//                  steps. The supervisor writes a tagged header (its own
+//                  barrier state) in front of it, and SnapshotRotation
+//                  publishes generations <base>.ckpt.1 (newest) ..
+//                  .ckpt.kSnapshotGenerations atomically with a CRC32 +
+//                  version footer; a truncated, bit-flipped or untagged
 //                  newest generation falls back to the previous one with a
 //                  named warning. Resume replays to bitwise-identical final
 //                  weights vs an uninterrupted run.
@@ -23,6 +25,10 @@
 //                  between steps; a requested stop flushes a final snapshot
 //                  and returns TerminationReason::kStopped so callers exit
 //                  with a distinct code.
+//   * shards     — supervise() drives K >= 1 loops and averages their
+//                  parameters at every aligned epoch boundary (see
+//                  supervise() below and DESIGN.md §8). One loop is the
+//                  same machinery with a barrier that releases at once.
 //
 // Fault-injection sites: "train.loss" (step-loss poisoning, armed by the
 // loops), "ckpt.write" / "ckpt.read" (io::save_artifact / load_artifact),
@@ -30,30 +36,31 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/nn/text_classifier.h"
 #include "src/util/robust.h"
 
 namespace advtext {
+
+/// On-disk snapshot generations kept per snapshot path: two survive a
+/// corrupted newest file.
+inline constexpr std::size_t kSnapshotGenerations = 2;
 
 /// Resilience policy shared by every supervised trainer. Defaults keep an
 /// un-configured run behaviourally identical to the pre-supervisor code
 /// path (no disk snapshots, in-memory rollback only, no signal handlers).
 struct ResilienceConfig {
   /// Base path for on-disk snapshots; generations live at
-  /// <path>.ckpt.1 (newest) .. <path>.ckpt.<keep_generations>. Empty keeps
-  /// snapshots in memory only (rollback still works, resume does not).
+  /// <path>.ckpt.1 (newest) .. <path>.ckpt.<kSnapshotGenerations>. Empty
+  /// keeps snapshots in memory only (rollback still works, resume does
+  /// not).
   std::string snapshot_path;
   /// Extra mid-run snapshots every N supervisor steps (0 = only at loop
   /// boundaries, e.g. epoch ends, and on stop/completion).
   std::size_t snapshot_every = 0;
-  /// On-disk generations kept per snapshot path (>= 1). Two generations
-  /// survive a corrupted newest file.
-  std::size_t keep_generations = 2;
   /// Load the newest valid snapshot generation before training. All
   /// generations invalid (or none present) falls back to a fresh start
   /// with a named warning.
@@ -64,13 +71,6 @@ struct ResilienceConfig {
   /// while a genuinely diverged run — one that keeps failing straight after
   /// every rollback — still aborts promptly.
   std::size_t max_rollbacks = 3;
-  /// Learning-rate multiplier applied per consecutive rollback (loop-side,
-  /// via ResumableTraining::on_rollback): lr = base_lr * lr_backoff^attempt.
-  /// The loop's on_recover() restores the base rate after a clean step.
-  double lr_backoff = 0.5;
-  /// A finite step loss above spike_factor * EWMA(loss) + 1.0 counts as
-  /// divergence (0 disables spike detection; non-finite always triggers).
-  double spike_factor = 50.0;
   /// Operational kill switch / step budget: stop cleanly (kStopped, with a
   /// final snapshot) after this many supervisor steps. 0 = unlimited.
   std::size_t max_steps = 0;
@@ -78,14 +78,10 @@ struct ResilienceConfig {
   /// to simulate a hard kill (tests) — resume then replays from the last
   /// periodic snapshot.
   bool flush_on_stop = true;
-  /// Install the SIGINT/SIGTERM handlers at run start (CLIs). The token is
-  /// polled either way, so embedders can request_stop() programmatically.
+  /// Install the SIGINT/SIGTERM handlers at run start (CLIs), once, on the
+  /// thread that calls supervise(). The token is polled either way, so
+  /// embedders can request_stop() programmatically.
   bool install_stop_token = false;
-  /// Bounded retries for a failed snapshot publish (transient disk errors,
-  /// injected ckpt.write faults). Defaults: 3 attempts, millisecond-scale
-  /// capped backoff with deterministic jitter. Only after every attempt
-  /// fails does the publish count as a snapshot_write_failure.
-  RetryPolicy::Config snapshot_retry;
 };
 
 /// A training loop the supervisor can drive. One step() is the unit of
@@ -105,7 +101,8 @@ class ResumableTraining {
   virtual double step() = 0;
 
   /// True when the last step() ended a natural snapshot boundary (epoch
-  /// end); the supervisor always snapshots there.
+  /// end); the supervisor always snapshots there, after the averaging
+  /// barrier.
   virtual bool at_boundary() const = 0;
 
   /// Serializes the complete loop state — everything the remaining steps
@@ -114,10 +111,11 @@ class ResumableTraining {
   virtual void save_state(std::ostream& out) const = 0;
   virtual void load_state(std::istream& in) = 0;
 
-  /// Called after a rollback restored the last good state; `attempt` counts
-  /// consecutive failures of the current stretch (1..max_rollbacks).
-  /// Typical response: set the learning rate to base * lr_backoff^attempt.
-  virtual void on_rollback(std::size_t attempt) = 0;
+  /// Called after a rollback restored the last good state. `lr_scale` is
+  /// 0.5^attempt, where `attempt` counts consecutive failures of the
+  /// current stretch (1..max_rollbacks): the loop sets its learning rate to
+  /// base * lr_scale.
+  virtual void on_rollback(double lr_scale) = 0;
 
   /// Called once when a step succeeds after one or more rollbacks: the
   /// divergence passed, so the loop may undo its backoff (restore the base
@@ -126,11 +124,11 @@ class ResumableTraining {
 };
 
 /// Generation-rotated, checksummed snapshot files: write() publishes to
-/// <base>.ckpt.1 after shifting older generations up, read_latest() returns
-/// the newest generation that passes integrity checks.
+/// <base>.ckpt.1 after shifting older generations up. Resume reads the
+/// generations itself (newest first), validating the full restore.
 class SnapshotRotation {
  public:
-  SnapshotRotation(std::string base_path, std::size_t generations);
+  explicit SnapshotRotation(std::string base_path);
 
   static std::string generation_path(const std::string& base,
                                      std::size_t generation);
@@ -140,27 +138,24 @@ class SnapshotRotation {
   /// failure (the previous generations stay intact).
   void write(const std::string& payload) const;
 
-  /// Newest generation whose checksum verifies; rejected generations append
-  /// a named warning. std::nullopt when no generation is readable.
-  /// [[nodiscard]]: ignoring the payload means the caller resumed from
-  /// nothing while believing it restored state.
-  [[nodiscard]] std::optional<std::string> read_latest(
-      std::vector<std::string>* warnings) const;
-
  private:
   std::string base_;
-  std::size_t generations_;
 };
 
-/// What the supervisor did. Loops fold the relevant fields into their own
-/// reports (TrainReport, SkipGramReport).
+/// What the supervisor did. For one supervise() call the counters are sums
+/// over its shards, `resumed` is true if any shard resumed, and `warnings`
+/// collects every shard's (tagged "shard k: " when there are several) plus
+/// run-level degradation notes. TrainReport and SkipGramReport extend it
+/// with what their loops tracked.
 struct SupervisorReport {
+  /// kStopped if any shard stopped (run resumable), kError if every shard
+  /// died, kSucceeded otherwise — dead shards degrade, they don't abort.
   TerminationReason termination = TerminationReason::kSucceeded;
   std::size_t steps = 0;
-  std::size_t rollbacks = 0;
+  std::size_t rollbacks = 0;  ///< each backs the learning rate off once
   std::size_t snapshots_written = 0;
   /// Snapshot publishes that failed (disk full, injected ckpt.write fault)
-  /// even after snapshot_retry ran out of attempts: training continues —
+  /// even after RetryPolicy ran out of attempts: training continues —
   /// losing a snapshot must not lose the run.
   std::size_t snapshot_write_failures = 0;
   /// Extra publish attempts consumed by RetryPolicy before a snapshot
@@ -169,86 +164,52 @@ struct SupervisorReport {
   bool resumed = false;
   int stop_signal = 0;  ///< signal that requested the stop (0 = none)
   std::vector<std::string> warnings;
+
+  /// Per-shard reports, indexed by shard (their own `shards` are empty).
+  std::vector<SupervisorReport> shards;
+  /// Shards that exhausted their rollback budget and were dropped.
+  std::vector<std::size_t> dead_shards;
+  /// Shard whose parameters are the run's result: the successful shard
+  /// with the most completed barriers (ties: lowest index). After a full
+  /// run all shards in the final averaging cohort hold identical params.
+  std::size_t result_shard = 0;
+  /// Averaging barriers released (aligned epoch boundaries).
+  std::size_t averaging_rounds = 0;
 };
 
-/// One supervised run of a ResumableTraining loop, decomposed so callers
-/// can interleave work between epoch boundaries. TrainSupervisor::run() is
-/// the plain serial composition; ShardedTrainSupervisor drives one session
-/// per shard and inserts a parameter-averaging barrier at each boundary.
+/// One loop handed to supervise(). The loop and the parameter views are
+/// borrowed; the params must stay valid for the whole run and have the
+/// same tensor layout across shards (same architecture).
+struct ShardSpec {
+  ResumableTraining* loop = nullptr;
+  /// Parameter views averaged at epoch boundaries (typically
+  /// TrainableClassifier::params() of the shard's model replica; may stay
+  /// empty for a single shard, which averages nothing).
+  std::vector<ParamRef> params;
+  /// Per-shard resilience; give each of several shards its own
+  /// snapshot_path (the trainer uses "<base>.shard<k>").
+  ResilienceConfig resilience;
+};
+
+/// Drives K = shards.size() >= 1 loops to completion, each under its own
+/// snapshot / divergence-rollback / resume machinery:
 ///
-/// Lifecycle: initialize() once (resume handling + initial rollback
-/// target), then step_until_boundary() repeatedly; on kBoundary either let
-/// the session commit (`commit_at_boundary=true`, serial behaviour) or do
-/// external work first and call commit_boundary() yourself; on any other
-/// status call finish(status) exactly once and read report().
-class SupervisorSession {
- public:
-  // [[nodiscard]]: every StepStatus encodes what the caller must do next
-  // (commit, finish, or stop); dropping one desynchronizes the session
-  // lifecycle.
-  enum class [[nodiscard]] StepStatus {
-    kBoundary,  ///< loop hit a natural snapshot boundary (epoch end)
-    kDone,      ///< loop reports done(); finish() flushes + kSucceeded
-    kStopped,   ///< StopToken / max_steps / external stop; resumable
-    kError,     ///< divergence beyond max_rollbacks; run lost
-  };
-
-  SupervisorSession(ResumableTraining& loop, const ResilienceConfig& config);
-
-  /// Extra stop condition polled alongside the StopToken (sharded training
-  /// uses it to drain every shard once any shard stops). Set before
-  /// initialize(); null means no external stop.
-  void set_external_stop(std::function<bool()> predicate);
-
-  /// Resume handling (when configured) + the initial in-memory rollback
-  /// target. Must be called exactly once, before stepping.
-  void initialize();
-
-  /// Runs steps — with divergence detection, rollback and periodic
-  /// snapshots — until a boundary, completion, a stop, or rollback
-  /// exhaustion. With `commit_at_boundary`, a boundary also refreshes the
-  /// rollback target and publishes a snapshot before returning.
-  StepStatus step_until_boundary(bool commit_at_boundary);
-
-  /// Refreshes the rollback target from the loop's current state and
-  /// publishes it as a snapshot. Used by callers that mutate the loop at a
-  /// boundary (parameter averaging) after step_until_boundary(false).
-  void commit_boundary();
-
-  /// Records the terminal status: final snapshot flush on kDone (and on
-  /// kStopped when flush_on_stop), termination + stop-signal bookkeeping.
-  void finish(StepStatus status);
-
-  const SupervisorReport& report() const { return report_; }
-  SupervisorReport take_report() { return std::move(report_); }
-
- private:
-  bool stop_requested() const;
-  std::string serialize_loop() const;
-  void publish(const std::string& state);
-
-  ResumableTraining& loop_;
-  ResilienceConfig config_;
-  bool has_disk_;
-  SnapshotRotation rotation_;
-  SupervisorReport report_;
-  std::function<bool()> external_stop_;
-  std::string last_good_;
-  double ewma_ = 0.0;
-  bool ewma_primed_ = false;
-  std::size_t consecutive_failures_ = 0;
-};
-
-/// Drives a ResumableTraining loop to completion under a ResilienceConfig.
-class TrainSupervisor {
- public:
-  explicit TrainSupervisor(const ResilienceConfig& config)
-      : config_(config) {}
-
-  SupervisorReport run(ResumableTraining& loop) const;
-
- private:
-  ResilienceConfig config_;
-};
+///   * At every epoch boundary all live shards meet at an averaging
+///     barrier: the last arriver (or a departing shard that completes the
+///     group) averages parameters element-wise over the arrived shards in
+///     ascending shard order — a fixed reduction order, so results are
+///     bitwise reproducible regardless of thread scheduling. Then each
+///     shard commits its boundary snapshot.
+///   * A shard whose rollbacks run out departs; the survivors keep training
+///     and averaging among themselves. Only all shards dying is kError.
+///   * Any stop (StopToken signal or a shard's max_steps budget) drains the
+///     whole group: no further averaging is released, and every shard
+///     flushes its own snapshot at its current position — mid-epoch, or
+///     "arrived at the barrier, averaging pending" (that flag rides in the
+///     snapshot header). Resume replays every shard to the same barrier.
+///
+/// K = 1 runs on the calling thread and spawns nothing; its barrier
+/// releases at once. K > 1 runs each shard on a worker of its own pool.
+SupervisorReport supervise(std::vector<ShardSpec> shards);
 
 }  // namespace advtext

@@ -2,19 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
-#include "src/nn/sharded_supervisor.h"
+#include "src/nn/checkpoint.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 #include "src/util/robust.h"
 #include "src/util/serialize.h"
-#include "src/util/stop_token.h"
 #include "src/util/sync.h"
 
 namespace advtext {
+
+namespace {
+
+// Adam's moment decays and denominator floor, and the L2 weight-decay
+// coefficient added to every gradient.
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEpsilon = 1e-8;
+constexpr double kWeightDecay = 1e-3;
+
+}  // namespace
 
 void Adam::step(const std::vector<ParamRef>& params, double batch_scale) {
   // A single NaN gradient silently poisons every later step through the
@@ -50,8 +59,8 @@ void Adam::step(const std::vector<ParamRef>& params, double batch_scale) {
     }
   }
   ++t_;
-  const double b1 = config_.beta1;
-  const double b2 = config_.beta2;
+  const double b1 = kBeta1;
+  const double b2 = kBeta2;
   const double correction1 = 1.0 - std::pow(b1, static_cast<double>(t_));
   const double correction2 = 1.0 - std::pow(b2, static_cast<double>(t_));
   const double lr = lr_;
@@ -59,13 +68,13 @@ void Adam::step(const std::vector<ParamRef>& params, double batch_scale) {
     const ParamRef& ref = params[p];
     for (std::size_t i = 0; i < ref.size; ++i) {
       const double g = static_cast<double>(ref.grad[i]) * batch_scale +
-                       config_.weight_decay * ref.value[i];
+                       kWeightDecay * ref.value[i];
       m_[p][i] = static_cast<float>(b1 * m_[p][i] + (1.0 - b1) * g);
       v_[p][i] = static_cast<float>(b2 * v_[p][i] + (1.0 - b2) * g * g);
       const double mhat = m_[p][i] / correction1;
       const double vhat = v_[p][i] / correction2;
       ref.value[i] -=
-          static_cast<float>(lr * mhat / (std::sqrt(vhat) + config_.epsilon));
+          static_cast<float>(lr * mhat / (std::sqrt(vhat) + kEpsilon));
     }
   }
   for (std::size_t p = 0; p < params.size(); ++p) {
@@ -130,30 +139,27 @@ double dataset_accuracy(const TextClassifier& model,
 /// remaining steps are bitwise identical to an uninterrupted run.
 class ClassifierTrainLoop final : public ResumableTraining {
  public:
-  /// `loss_site` is the fault-injection point armed around the batch loss;
-  /// sharded training passes "train.loss@shard<k>" so a fault can target
-  /// one shard.
-  ClassifierTrainLoop(TrainableClassifier& model, const Dataset& data,
-                      const TrainConfig& config,
-                      const ResilienceConfig& resilience,
-                      std::string loss_site = "train.loss")
-      : model_(model), config_(config), resilience_(resilience),
-        loss_site_(std::move(loss_site)), rng_(config.seed),
-        optimizer_(config) {
+  /// `docs` is the loop's shard of the dataset, in dataset order.
+  /// `loss_site` is the fault-injection point armed around the batch loss.
+  ClassifierTrainLoop(TrainableClassifier& model,
+                      const std::vector<const Document*>& docs,
+                      const TrainConfig& config, std::string loss_site)
+      : model_(model), config_(config), loss_site_(std::move(loss_site)),
+        rng_(config.seed), optimizer_(config) {
     // Validation split (deterministic tail slice of a fixed permutation).
     // Document pointers cannot be serialized, so resume re-derives the
     // split from the seed and then restores the RNG stream from the
     // snapshot — identical result, by construction.
-    const auto order = rng_.permutation(data.docs.size());
+    const auto order = rng_.permutation(docs.size());
     const std::size_t num_val = static_cast<std::size_t>(
-        config.validation_fraction * static_cast<double>(data.docs.size()));
+        config.validation_fraction * static_cast<double>(docs.size()));
     for (std::size_t i = 0; i < order.size(); ++i) {
-      const Document& doc = data.docs[order[i]];
-      if (doc.num_words() == 0) continue;
+      const Document* doc = docs[order[i]];
+      if (doc->num_words() == 0) continue;
       if (i < num_val) {
-        val_docs_.push_back(&doc);
+        val_docs_.push_back(doc);
       } else {
-        train_docs_.push_back(&doc);
+        train_docs_.push_back(doc);
       }
     }
   }
@@ -172,7 +178,7 @@ class ClassifierTrainLoop final : public ResumableTraining {
     }
     boundary_ = false;
     const std::size_t end =
-        std::min(cursor_ + config_.batch_size, perm_.size());
+        std::min(cursor_ + kTrainBatchSize, perm_.size());
     model_.zero_grad();
     double batch_loss = 0.0;
     for (std::size_t i = cursor_; i < end; ++i) {
@@ -267,14 +273,8 @@ class ClassifierTrainLoop final : public ResumableTraining {
     boundary_ = false;
   }
 
-  void on_rollback(std::size_t attempt) override {
-    optimizer_.set_learning_rate(
-        config_.learning_rate *
-        std::pow(resilience_.lr_backoff, static_cast<double>(attempt)));
-    if (config_.verbose) {
-      std::printf("rollback %zu: lr -> %.6f\n", attempt,
-                  optimizer_.learning_rate());
-    }
+  void on_rollback(double lr_scale) override {
+    optimizer_.set_learning_rate(config_.learning_rate * lr_scale);
   }
 
   void on_recover() override {
@@ -283,10 +283,10 @@ class ClassifierTrainLoop final : public ResumableTraining {
     optimizer_.set_learning_rate(config_.learning_rate);
   }
 
-  /// Report of everything the loop itself tracked (the supervisor fields
-  /// are merged by train_classifier).
-  TrainReport report() const {
+  /// The supervisor's report extended with what the loop itself tracked.
+  TrainReport report(SupervisorReport outcome) const {
     TrainReport report;
+    static_cast<SupervisorReport&>(report) = std::move(outcome);
     report.epochs_run = epoch_losses_.size();
     report.epoch_losses = epoch_losses_;
     report.final_train_loss =
@@ -304,14 +304,8 @@ class ClassifierTrainLoop final : public ResumableTraining {
     if (!val_docs_.empty()) {
       const double val_acc = dataset_accuracy(model_, val_docs_);
       best_val_ = std::max(best_val_, val_acc);
-      if (config_.verbose) {
-        std::printf("epoch %zu: loss=%.4f val_acc=%.3f\n", epoch_ + 1,
-                    epoch_loss_, val_acc);
-      }
       // Early stop once validation is saturated and loss is small.
       if (val_acc >= 0.999 && epoch_loss_ < 0.05) finished_ = true;
-    } else if (config_.verbose) {
-      std::printf("epoch %zu: loss=%.4f\n", epoch_ + 1, epoch_loss_);
     }
     ++epoch_;
     perm_drawn_ = false;
@@ -320,7 +314,6 @@ class ClassifierTrainLoop final : public ResumableTraining {
 
   TrainableClassifier& model_;
   TrainConfig config_;
-  ResilienceConfig resilience_;
   std::string loss_site_;
   Rng rng_;
   Adam optimizer_;
@@ -344,135 +337,58 @@ class ClassifierTrainLoop final : public ResumableTraining {
 
 TrainReport train_classifier(TrainableClassifier& model, const Dataset& data,
                              const TrainConfig& config,
-                             const ResilienceConfig& resilience) {
-  ClassifierTrainLoop loop(model, data, config, resilience);
-  TrainSupervisor supervisor(resilience);
-  const SupervisorReport outcome = supervisor.run(loop);
-  TrainReport report = loop.report();
-  report.termination = outcome.termination;
-  report.rollbacks = outcome.rollbacks;
-  // Every rollback backs the learning rate off (on_rollback), so the
-  // supervisor's rollback count is also the backoff count.
-  report.lr_backoffs = outcome.rollbacks;
-  report.snapshots_written = outcome.snapshots_written;
-  report.snapshot_write_failures = outcome.snapshot_write_failures;
-  report.snapshot_write_retries = outcome.snapshot_write_retries;
-  report.resumed = outcome.resumed;
-  report.warnings = outcome.warnings;
-  return report;
-}
+                             const ResilienceConfig& resilience,
+                             const ShardConfig& shards) {
+  const std::size_t count = std::max<std::size_t>(1, shards.shards);
+  ADVTEXT_CHECK(count == 1 || shards.make_replica != nullptr)
+      << "train_classifier: shards > 1 needs a replica factory";
 
-TrainReport train_classifier(TrainableClassifier& model, const Dataset& data,
-                             const TrainConfig& config) {
-  return train_classifier(model, data, config, ResilienceConfig{});
-}
-
-ShardedTrainReport train_classifier_sharded(
-    TrainableClassifier& model,
-    const std::function<std::unique_ptr<TrainableClassifier>()>& make_replica,
-    const Dataset& data, const TrainConfig& config,
-    const ResilienceConfig& resilience, const ShardConfig& shard_config) {
-  const std::size_t shards = std::max<std::size_t>(1, shard_config.shards);
-  ADVTEXT_CHECK(shards == 1 || make_replica != nullptr)
-      << "train_classifier_sharded: shards > 1 needs a replica factory";
-
-  // Deal documents round-robin so every shard sees the same label mix; with
-  // one shard this reproduces the full dataset in order.
-  std::vector<Dataset> shard_data(shards);
-  for (Dataset& shard : shard_data) shard.num_classes = data.num_classes;
+  // Deal documents round-robin so every shard sees the same label mix; one
+  // shard keeps the whole dataset in order.
+  std::vector<std::vector<const Document*>> shard_docs(count);
   for (std::size_t i = 0; i < data.docs.size(); ++i) {
-    shard_data[i % shards].docs.push_back(data.docs[i]);
+    shard_docs[i % count].push_back(&data.docs[i]);
   }
 
   // Shard 0 trains the primary model in place; the others train replicas
   // whose parameters start as a bitwise copy of the primary's.
   std::vector<std::unique_ptr<TrainableClassifier>> replicas;
-  std::vector<TrainableClassifier*> shard_models(shards, &model);
-  for (std::size_t k = 1; k < shards; ++k) {
-    replicas.push_back(make_replica());
+  std::vector<TrainableClassifier*> shard_models(count, &model);
+  for (std::size_t k = 1; k < count; ++k) {
+    replicas.push_back(shards.make_replica());
     ADVTEXT_CHECK(replicas.back() != nullptr)
         << "replica factory returned null";
-    const std::vector<ParamRef> src = model.params();
-    const std::vector<ParamRef> dst = replicas.back()->params();
-    ADVTEXT_CHECK(src.size() == dst.size())
-        << "replica architecture differs from the primary model";
-    for (std::size_t t = 0; t < src.size(); ++t) {
-      ADVTEXT_CHECK(src[t].size == dst[t].size)
-          << "replica tensor " << t << " size differs from the primary model";
-      std::copy(src[t].value, src[t].value + src[t].size, dst[t].value);
-    }
+    copy_model_params(model, *replicas.back());
     shard_models[k] = replicas.back().get();
   }
 
-  // Signal handling is installed once, from this thread; the per-shard
-  // sessions only poll the token.
-  if (resilience.install_stop_token) StopToken::instance().install();
-
   std::vector<std::unique_ptr<ClassifierTrainLoop>> loops;
   std::vector<ShardSpec> specs;
-  loops.reserve(shards);
-  specs.reserve(shards);
-  for (std::size_t k = 0; k < shards; ++k) {
+  loops.reserve(count);
+  specs.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::string suffix = count == 1 ? "" : "@shard" + std::to_string(k);
     TrainConfig shard_train = config;
     shard_train.seed = config.seed + static_cast<std::uint64_t>(k);
-    ResilienceConfig shard_resilience = resilience;
-    shard_resilience.install_stop_token = false;
-    if (shards > 1 && !resilience.snapshot_path.empty()) {
-      shard_resilience.snapshot_path =
-          resilience.snapshot_path + ".shard" + std::to_string(k);
-    }
-    const std::string loss_site =
-        shards == 1 ? std::string("train.loss")
-                    : "train.loss@shard" + std::to_string(k);
     loops.push_back(std::make_unique<ClassifierTrainLoop>(
-        *shard_models[k], shard_data[k], shard_train, shard_resilience,
-        loss_site));
+        *shard_models[k], shard_docs[k], shard_train, "train.loss" + suffix));
     ShardSpec spec;
     spec.loop = loops.back().get();
     spec.params = shard_models[k]->params();
-    spec.resilience = shard_resilience;
+    spec.resilience = resilience;
+    if (count > 1 && !resilience.snapshot_path.empty()) {
+      spec.resilience.snapshot_path += ".shard" + std::to_string(k);
+    }
     specs.push_back(std::move(spec));
   }
 
-  ShardedTrainSupervisor supervisor(std::move(specs));
-  ShardedReport outcome = supervisor.run();
-
-  ShardedTrainReport report;
-  report.shards = shards;
-  report.result_shard = outcome.result_shard;
-  report.dead_shards = std::move(outcome.dead_shards);
-  report.averaging_rounds = outcome.averaging_rounds;
-
+  SupervisorReport outcome = supervise(std::move(specs));
+  const std::size_t result = outcome.result_shard;
   // The result shard's parameters become the primary model's (a bitwise
   // copy; after a clean run every survivor already holds the averaged
   // values, so this only matters under degradation or stop).
-  if (report.result_shard != 0) {
-    const std::vector<ParamRef> src =
-        shard_models[report.result_shard]->params();
-    const std::vector<ParamRef> dst = model.params();
-    for (std::size_t t = 0; t < src.size(); ++t) {
-      std::copy(src[t].value, src[t].value + src[t].size, dst[t].value);
-    }
-  }
-
-  report.train = loops[report.result_shard]->report();
-  report.train.termination = outcome.termination;
-  report.train.warnings = std::move(outcome.warnings);
-  report.train.rollbacks = 0;
-  report.train.snapshots_written = 0;
-  report.train.snapshot_write_failures = 0;
-  report.train.snapshot_write_retries = 0;
-  report.train.resumed = false;
-  for (const SupervisorReport& shard : outcome.shards) {
-    report.train.rollbacks += shard.rollbacks;
-    report.train.snapshots_written += shard.snapshots_written;
-    report.train.snapshot_write_failures += shard.snapshot_write_failures;
-    report.train.snapshot_write_retries += shard.snapshot_write_retries;
-    report.train.resumed = report.train.resumed || shard.resumed;
-  }
-  report.train.lr_backoffs = report.train.rollbacks;
-  report.shard_reports = std::move(outcome.shards);
-  return report;
+  if (result != 0) copy_model_params(*shard_models[result], model);
+  return loops[result]->report(std::move(outcome));
 }
 
 }  // namespace advtext

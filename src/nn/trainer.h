@@ -4,12 +4,13 @@
 // a held-out validation slice used to pick the stopping epoch, and frozen
 // pretrained embeddings as the first layer.
 //
-// Training runs under the TrainSupervisor (src/nn/supervisor.h): the loop
-// exposes its full state (model params, Adam moments, RNG streams, epoch /
-// batch cursor) for periodic snapshots, divergence rollback with
-// learning-rate backoff, and cooperative shutdown. The plain overload keeps
-// the default policy (no disk snapshots) and is numerically identical to
-// the pre-supervisor trainer.
+// Training runs under supervise() (src/nn/supervisor.h): the loop exposes
+// its full state (model params, Adam moments, RNG streams, epoch / batch
+// cursor) for periodic snapshots, divergence rollback with learning-rate
+// backoff, and cooperative shutdown. The same driver trains one data shard
+// or K of them in parallel with epoch-boundary parameter averaging; with
+// the default configs it is numerically identical to the pre-supervisor
+// trainer.
 #pragma once
 
 #include <cstdint>
@@ -25,14 +26,12 @@
 
 namespace advtext {
 
+/// Mini-batch size (paper: a constant mini-batch of 16).
+inline constexpr std::size_t kTrainBatchSize = 16;
+
 struct TrainConfig {
   std::size_t epochs = 12;
-  std::size_t batch_size = 16;   ///< paper: constant mini-batch of 16
   double learning_rate = 1e-2;
-  double weight_decay = 1e-3;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double epsilon = 1e-8;
   /// Global gradient-norm clip applied per batch (0 disables). Standard
   /// stabilizer for BPTT on longer documents.
   double clip_norm = 5.0;
@@ -40,26 +39,16 @@ struct TrainConfig {
   /// (paper: 10%). 0 disables validation-based selection.
   double validation_fraction = 0.1;
   std::uint64_t seed = 17;
-  bool verbose = false;
 };
 
-struct TrainReport {
+/// What the loop tracked, on top of the supervisor's report. With several
+/// shards these curves are the result shard's.
+struct TrainReport : SupervisorReport {
   std::size_t epochs_run = 0;
   double final_train_loss = 0.0;
   double best_validation_accuracy = 0.0;
   std::vector<double> epoch_losses;
-
-  // -- Resilience outcome (filled by the supervised overload; the plain
-  //    overload reports kSucceeded / zeros unless something went wrong) --
-  TerminationReason termination = TerminationReason::kSucceeded;
-  std::size_t clipped_steps = 0;          ///< batches hit by clip_norm
-  std::size_t rollbacks = 0;              ///< divergence recoveries
-  std::size_t lr_backoffs = 0;            ///< learning-rate halvings applied
-  std::size_t snapshots_written = 0;
-  std::size_t snapshot_write_failures = 0;
-  std::size_t snapshot_write_retries = 0;  ///< RetryPolicy attempts absorbed
-  bool resumed = false;                   ///< started from a disk snapshot
-  std::vector<std::string> warnings;
+  std::size_t clipped_steps = 0;  ///< batches hit by clip_norm
 };
 
 /// Adam optimizer over raw parameter views. State is indexed by parameter
@@ -94,56 +83,29 @@ class Adam {
   std::size_t t_ = 0;
 };
 
-/// Trains the model on `data` with the given config. Documents are
-/// flattened to token sequences; empty documents are skipped.
-TrainReport train_classifier(TrainableClassifier& model, const Dataset& data,
-                             const TrainConfig& config = {});
-
-/// Supervised variant: snapshots, resume, divergence rollback and
-/// cooperative shutdown per `resilience`. With a default-constructed
-/// ResilienceConfig this is numerically identical to the plain overload.
-TrainReport train_classifier(TrainableClassifier& model, const Dataset& data,
-                             const TrainConfig& config,
-                             const ResilienceConfig& resilience);
-
-/// Data-shard parallel training (ShardedTrainSupervisor underneath).
+/// Data-shard parallel training.
 struct ShardConfig {
-  /// Worker shards. 1 runs the sharded machinery with a single shard —
-  /// bitwise identical to the serial supervised trainer (same seed, same
-  /// step sequence, same snapshot path, no averaging).
+  /// Worker shards. 1 trains `model` alone, on the calling thread.
   std::size_t shards = 1;
+  /// Builds a model with the same architecture as the primary one (its
+  /// parameters are overwritten with a copy of the primary's before
+  /// training starts). Required when shards > 1.
+  std::function<std::unique_ptr<TrainableClassifier>()> make_replica;
 };
 
-/// train_classifier_sharded outcome. `train` is the merged view callers of
-/// the serial trainer expect (result-shard curves, summed counters, overall
-/// termination); the per-shard detail rides alongside.
-struct ShardedTrainReport {
-  TrainReport train;
-  std::size_t shards = 1;
-  /// Shard whose parameters were copied back into the primary model.
-  std::size_t result_shard = 0;
-  /// Shards dropped after exhausting their rollback budget (the run
-  /// degrades to the survivors; only all shards dying is an error).
-  std::vector<std::size_t> dead_shards;
-  std::vector<SupervisorReport> shard_reports;
-  /// Parameter-averaging barriers released (aligned epoch boundaries).
-  std::size_t averaging_rounds = 0;
-};
-
-/// Trains `model` across `shard_config.shards` data shards in parallel:
-/// documents are dealt round-robin, shard k trains a replica (shard 0 uses
-/// `model` itself) seeded with config.seed + k and fault-site
-/// "train.loss@shard<k>", parameters are averaged at aligned epoch
+/// Trains `model` on `data`: documents are flattened to token sequences
+/// (empty ones are skipped) and dealt round-robin over `shards.shards`
+/// shards. Shard k trains a replica (shard 0 uses `model` itself) seeded
+/// with config.seed + k, parameters are averaged at aligned epoch
 /// boundaries, and the result shard's parameters end up in `model`.
-/// Snapshots go to "<snapshot_path>.shard<k>" per shard (shards=1 keeps the
-/// bare path); resume replays a cooperatively stopped run bitwise.
-/// `make_replica` must build a model with the same architecture as `model`
-/// (its parameters are overwritten with a copy of the primary's before
-/// training starts).
-ShardedTrainReport train_classifier_sharded(
-    TrainableClassifier& model,
-    const std::function<std::unique_ptr<TrainableClassifier>()>& make_replica,
-    const Dataset& data, const TrainConfig& config,
-    const ResilienceConfig& resilience, const ShardConfig& shard_config);
+/// Snapshots, resume, divergence rollback and cooperative shutdown follow
+/// `resilience`. One shard keeps the bare snapshot path and the bare
+/// "train.loss" fault site; shard k of several snapshots to
+/// "<snapshot_path>.shard<k>" and poisons at "train.loss@shard<k>". Resume
+/// replays a cooperatively stopped run bitwise at any shard count.
+TrainReport train_classifier(TrainableClassifier& model, const Dataset& data,
+                             const TrainConfig& config = {},
+                             const ResilienceConfig& resilience = {},
+                             const ShardConfig& shards = {});
 
 }  // namespace advtext

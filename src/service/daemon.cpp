@@ -79,13 +79,10 @@ bool try_write_frame(Connection& conn, const std::string& payload) {
 
 /// A result file is a done-marker only if it is a complete, checksummed
 /// result artifact. Presence alone is not enough: a torn write can leave a
-/// partial file at the final path, and load_artifact's footer-less legacy
-/// fallback must not vouch for such a fragment.
+/// partial file at the final path, which load_artifact refuses.
 bool result_artifact_valid(const std::string& path) {
   try {
-    io::ArtifactInfo info;
-    std::istringstream in(io::load_artifact(path, &info));
-    if (!info.checksummed) return false;
+    std::istringstream in(io::load_artifact(path));
     io::read_magic(in);
     return io::read_string(in) == kResultTag;
   } catch (const std::runtime_error&) {

@@ -23,9 +23,8 @@ namespace {
 class SkipGramLoop final : public ResumableTraining {
  public:
   SkipGramLoop(const Dataset& data, std::size_t vocab_size,
-               const SkipGramConfig& config,
-               const ResilienceConfig& resilience)
-      : config_(config), resilience_(resilience), rng_(config.seed),
+               const SkipGramConfig& config)
+      : config_(config), rng_(config.seed),
         in_vec_(vocab_size, config.dim), out_vec_(vocab_size, config.dim),
         counts_(vocab_size, 0.0), neg_weights_(vocab_size, 0.0) {
     for (const Document& doc : data.docs) {
@@ -159,10 +158,7 @@ class SkipGramLoop final : public ResumableTraining {
     boundary_ = false;
   }
 
-  void on_rollback(std::size_t attempt) override {
-    lr_scale_ = std::pow(resilience_.lr_backoff,
-                         static_cast<double>(attempt));
-  }
+  void on_rollback(double lr_scale) override { lr_scale_ = lr_scale; }
 
   void on_recover() override { lr_scale_ = 1.0; }
 
@@ -172,7 +168,6 @@ class SkipGramLoop final : public ResumableTraining {
 
  private:
   SkipGramConfig config_;
-  ResilienceConfig resilience_;
   Rng rng_;
   Matrix in_vec_;
   Matrix out_vec_;
@@ -196,27 +191,17 @@ Matrix train_skipgram(const Dataset& data, std::size_t vocab_size,
                       const SkipGramConfig& config,
                       const ResilienceConfig& resilience,
                       SkipGramReport* report) {
-  SkipGramLoop loop(data, vocab_size, config, resilience);
-  TrainSupervisor supervisor(resilience);
-  const SupervisorReport outcome = supervisor.run(loop);
+  SkipGramLoop loop(data, vocab_size, config);
+  ShardSpec spec;
+  spec.loop = &loop;
+  spec.resilience = resilience;
+  SupervisorReport outcome = supervise({std::move(spec)});
   if (report != nullptr) {
-    report->termination = outcome.termination;
+    static_cast<SupervisorReport&>(*report) = std::move(outcome);
     report->epochs_run = loop.epochs_run();
     report->epoch_losses = loop.epoch_losses();
-    report->rollbacks = outcome.rollbacks;
-    report->snapshots_written = outcome.snapshots_written;
-    report->snapshot_write_failures = outcome.snapshot_write_failures;
-    report->snapshot_write_retries = outcome.snapshot_write_retries;
-    report->resumed = outcome.resumed;
-    report->warnings = outcome.warnings;
   }
   return loop.take_embeddings();
-}
-
-Matrix train_skipgram(const Dataset& data, std::size_t vocab_size,
-                      const SkipGramConfig& config) {
-  return train_skipgram(data, vocab_size, config, ResilienceConfig{},
-                        nullptr);
 }
 
 double cosine_similarity(const Matrix& embeddings, WordId a, WordId b) {

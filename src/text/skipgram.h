@@ -28,31 +28,21 @@ struct SkipGramConfig {
   std::uint64_t seed = 3;
 };
 
-/// Resilience outcome of a supervised skip-gram run (epoch = snapshot unit).
-struct SkipGramReport {
-  TerminationReason termination = TerminationReason::kSucceeded;
+/// Resilience outcome of a supervised skip-gram run (epoch = snapshot
+/// unit), extended with the loop's own curve.
+struct SkipGramReport : SupervisorReport {
   std::size_t epochs_run = 0;
   std::vector<double> epoch_losses;  ///< mean SGNS loss per epoch
-  std::size_t rollbacks = 0;
-  std::size_t snapshots_written = 0;
-  std::size_t snapshot_write_failures = 0;
-  std::size_t snapshot_write_retries = 0;
-  bool resumed = false;
-  std::vector<std::string> warnings;
 };
 
-/// Trains SGNS input vectors on the flattened documents of `data`.
+/// Trains SGNS input vectors on the flattened documents of `data`, with
+/// per-epoch snapshots, resume, divergence rollback and cooperative
+/// shutdown per `resilience` (the default keeps everything in memory).
 /// Returns a vocab_size x dim embedding matrix (rows for words never seen
 /// stay at their random initialization).
 Matrix train_skipgram(const Dataset& data, std::size_t vocab_size,
-                      const SkipGramConfig& config = {});
-
-/// Supervised variant: per-epoch snapshots, resume, divergence rollback and
-/// cooperative shutdown per `resilience`. With a default ResilienceConfig
-/// the returned matrix is bitwise identical to the plain overload.
-Matrix train_skipgram(const Dataset& data, std::size_t vocab_size,
-                      const SkipGramConfig& config,
-                      const ResilienceConfig& resilience,
+                      const SkipGramConfig& config = {},
+                      const ResilienceConfig& resilience = {},
                       SkipGramReport* report = nullptr);
 
 /// Top-k nearest neighbours of `word` by cosine similarity (excluding the

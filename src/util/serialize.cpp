@@ -1,7 +1,6 @@
 #include "src/util/serialize.h"
 
 #include <array>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -68,9 +67,6 @@ namespace {
 // Footer = u32 crc + u32 version + 8-byte magic.
 constexpr std::size_t kFooterBytes = 16;
 
-std::size_t g_legacy_loads = 0;
-bool g_warned_legacy = false;
-
 void put_u32(std::string& out, std::uint32_t value) {
   out.append(reinterpret_cast<const char*>(&value), sizeof(value));
 }
@@ -82,8 +78,6 @@ std::uint32_t get_u32(const std::string& bytes, std::size_t offset) {
 }
 
 }  // namespace
-
-std::size_t legacy_artifact_loads() { return g_legacy_loads; }
 
 void save_artifact(const std::string& path, const std::string& payload) {
   FaultInjector::instance().maybe_fault("ckpt.write");
@@ -100,50 +94,38 @@ void save_artifact(const std::string& path, const std::string& payload) {
   writer.commit();
 }
 
-std::string load_artifact(const std::string& path, ArtifactInfo* info) {
+std::string load_artifact(const std::string& path) {
   FaultInjector::instance().maybe_fault("ckpt.read");
   // read_file is the "io.read" injection site: short-read and corrupt
   // damage land on the bytes here, and the footer/CRC checks below are
   // what must catch them.
   std::string bytes = read_file(path);
 
-  ArtifactInfo local;
   const bool has_footer =
       bytes.size() >= kFooterBytes &&
       std::memcmp(bytes.data() + bytes.size() - sizeof(kFooterMagic),
                   kFooterMagic, sizeof(kFooterMagic)) == 0;
-  if (has_footer) {
-    const std::size_t payload_size = bytes.size() - kFooterBytes;
-    const std::uint32_t stored_crc = get_u32(bytes, payload_size);
-    const std::uint32_t version = get_u32(bytes, payload_size + 4);
-    if (version > kArtifactVersion) {
-      throw std::runtime_error(
-          "serialize: artifact " + path + " has format version " +
-          std::to_string(version) + " (this build understands up to " +
-          std::to_string(kArtifactVersion) + ")");
-    }
-    const std::uint32_t actual_crc = crc32(bytes.data(), payload_size);
-    if (actual_crc != stored_crc) {
-      throw std::runtime_error("serialize: checksum mismatch in artifact " +
-                               path + " (corrupt or bit-flipped file)");
-    }
-    local.checksummed = true;
-    local.version = version;
-    bytes.resize(payload_size);
-  } else {
-    // Seed-era artifact written before the integrity footer existed: accept
-    // it (the tagged payload readers still validate structure) but warn once
-    // so long-lived setups know to re-save.
-    ++g_legacy_loads;
-    if (!g_warned_legacy) {
-      g_warned_legacy = true;
-      std::fprintf(stderr,
-                   "advtext: %s has no integrity footer (seed-era artifact); "
-                   "loading without checksum verification\n",
-                   path.c_str());
-    }
+  if (!has_footer) {
+    throw std::runtime_error(
+        "serialize: artifact " + path +
+        " has no integrity footer (torn, truncated or not an advtext "
+        "artifact)");
   }
-  if (info != nullptr) *info = local;
+  const std::size_t payload_size = bytes.size() - kFooterBytes;
+  const std::uint32_t stored_crc = get_u32(bytes, payload_size);
+  const std::uint32_t version = get_u32(bytes, payload_size + 4);
+  if (version > kArtifactVersion) {
+    throw std::runtime_error(
+        "serialize: artifact " + path + " has format version " +
+        std::to_string(version) + " (this build understands up to " +
+        std::to_string(kArtifactVersion) + ")");
+  }
+  const std::uint32_t actual_crc = crc32(bytes.data(), payload_size);
+  if (actual_crc != stored_crc) {
+    throw std::runtime_error("serialize: checksum mismatch in artifact " +
+                             path + " (corrupt or bit-flipped file)");
+  }
+  bytes.resize(payload_size);
   return bytes;
 }
 

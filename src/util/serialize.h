@@ -38,42 +38,29 @@ inline constexpr char kMagic[8] = {'A', 'D', 'V', 'T', 'E', 'X', 'T', '1'};
 //   [payload bytes][u32 crc32(payload)][u32 format version][8-byte footer magic]
 //
 // The footer lives at the *end* so a truncated file loses it and is rejected
-// outright, and a bit-flip anywhere in the payload fails the checksum. Files
-// written before the footer existed (seed-era artifacts) are still accepted
-// — the loader falls back to treating the whole file as payload and warns
-// once per process.
+// outright, and a bit-flip anywhere in the payload fails the checksum. A
+// file without the footer (a torn or short-read fragment, or not an advtext
+// artifact at all) is refused.
 
 /// Trailing marker identifying a checksummed artifact.
 inline constexpr char kFooterMagic[8] = {'A', 'D', 'V', 'T', 'F', 'T', 'R',
                                          '1'};
 
-/// Current artifact format version ('1' = seed-era, footer-less files).
+/// Current artifact format version (1 was the footer-less layout, which is
+/// no longer read).
 inline constexpr std::uint32_t kArtifactVersion = 2;
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte range.
 std::uint32_t crc32(const void* data, std::size_t size);
 
-/// What the loader found at the end of the file.
-struct ArtifactInfo {
-  bool checksummed = false;       ///< false = accepted legacy artifact
-  std::uint32_t version = 1;      ///< footer version (1 for legacy files)
-};
-
 /// Publishes `payload` + integrity footer atomically (AtomicFileWriter).
 /// Fault-injection site: "ckpt.write".
 void save_artifact(const std::string& path, const std::string& payload);
 
-/// Reads `path` and returns the payload bytes. A present footer is verified
-/// (CRC mismatch, truncated footer, or unknown future version throw
-/// std::runtime_error naming the file); an absent footer is accepted as a
-/// seed-era artifact with a once-per-process warning. Fault-injection site:
-/// "ckpt.read".
-[[nodiscard]] std::string load_artifact(const std::string& path,
-                                        ArtifactInfo* info = nullptr);
-
-/// Number of footer-less (seed-era) artifacts accepted so far; lets tests
-/// assert the backward-compatible path actually ran.
-std::size_t legacy_artifact_loads();
+/// Reads `path` and returns the verified payload bytes. A missing footer,
+/// a CRC mismatch or an unknown future version throws std::runtime_error
+/// naming the file. Fault-injection site: "ckpt.read".
+[[nodiscard]] std::string load_artifact(const std::string& path);
 
 // ---- Allocation guards for length-prefixed reads ---------------------------
 //

@@ -30,8 +30,8 @@
 //     watchdog and the chaos campaign's no-hang oracle are built on these.
 //
 // Determinism note: threads make *scheduling* nondeterministic, never
-// results — consumers (ShardedTrainSupervisor) are designed so that all
-// cross-thread reductions happen at barriers in a fixed order. Nothing in
+// results — consumers (the sharded trainer's supervise()) are designed so
+// that all cross-thread reductions happen at barriers in a fixed order. Nothing in
 // this file draws randomness; clocks are read only by CondVar's timed wait
 // and the Watchdog's stall timer (sync.* lives in util/, the one layer the
 // raw-clock rule allows).

@@ -29,6 +29,7 @@
 #include "src/util/rng.h"
 #include "src/util/stop_token.h"
 #include "tests/ulp.h"
+#include "tests/state_dir.h"
 
 namespace advtext {
 namespace {
@@ -555,9 +556,8 @@ bool file_exists(const std::string& path) {
 // A SIGTERM-interrupted sweep leaves a checkpoint that resumes bitwise,
 // checked against an uninterrupted reference.
 TEST_F(BatchPipelineFixture, SigtermResumesBitwise) {
-  const std::string path =
-      ::testing::TempDir() + "advtext_batch_cache_sigterm_ckpt.bin";
-  std::remove(path.c_str());
+  const ScopedTempFile file("advtext_batch_cache_", "sigterm_ckpt.bin");
+  const std::string& path = file.path();
 
   const AttackEvalResult reference = run(sweep_config(10));
 
@@ -588,7 +588,6 @@ TEST_F(BatchPipelineFixture, SigtermResumesBitwise) {
   expect_equal_results(reference, completed);
   EXPECT_EQ(completed.termination, TerminationReason::kSucceeded);
 
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -49,9 +48,9 @@ struct BudgetGuard {
   ~BudgetGuard() { MemoryBudget::instance().reset(); }
 };
 
-std::string test_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("advtext_chaos_" + name))
-      .string();
+// A scratch file for one test, named per process and removed with it.
+ScopedTempFile test_file(const std::string& name) {
+  return ScopedTempFile("advtext_chaos_", name);
 }
 
 std::string slurp(const std::string& path) {
@@ -74,39 +73,29 @@ void clobber(const std::string& path, const std::string& bytes) {
 
 TEST(IoFileFaults, TornWritePublishesOnlyARejectableFragment) {
   InjectorGuard guard;
-  const std::string path = test_path("torn.bin");
-  remove_file(path);
+  const ScopedTempFile file = test_file("torn.bin");
+  const std::string& path = file.path();
   const std::string payload(256, 'x');
 
   FaultInjector::instance().configure("io.write:torn:1");
   EXPECT_THROW(io::save_artifact(path, payload), std::runtime_error);
   // The fragment lands under the FINAL path (that is the fault model), but
-  // it must never masquerade as a checksummed artifact.
+  // it has lost its footer, so the envelope refuses it.
   ASSERT_TRUE(file_exists(path));
   const std::string fragment = slurp(path);
   EXPECT_LT(fragment.size(), payload.size() + 16u);  // strict prefix
   FaultInjector::instance().configure("");
-  try {
-    io::ArtifactInfo info;
-    const std::string loaded = io::load_artifact(path, &info);
-    EXPECT_FALSE(info.checksummed)
-        << "a torn fragment must only ever load through the footer-less "
-           "legacy fallback, never as a verified artifact";
-  } catch (const std::runtime_error&) {
-    // Equally acceptable: the fragment is rejected outright.
-  }
+  EXPECT_THROW((void)io::load_artifact(path), std::runtime_error);
 
   // A clean re-save fully repairs the file (recovery's overwrite path).
   io::save_artifact(path, payload);
-  io::ArtifactInfo info;
-  EXPECT_EQ(io::load_artifact(path, &info), payload);
-  EXPECT_TRUE(info.checksummed);
-  remove_file(path);
+  EXPECT_EQ(io::load_artifact(path), payload);
 }
 
 TEST(IoFileFaults, EnospcLeavesThePreviousArtifactIntact) {
   InjectorGuard guard;
-  const std::string path = test_path("enospc.bin");
+  const ScopedTempFile file = test_file("enospc.bin");
+  const std::string& path = file.path();
   const std::string old_payload = "the good bytes";
   io::save_artifact(path, old_payload);
 
@@ -121,55 +110,38 @@ TEST(IoFileFaults, EnospcLeavesThePreviousArtifactIntact) {
 
   // Atomic publication: a full disk mid-write never touches the final
   // path, so the previous artifact is still bitwise intact.
-  io::ArtifactInfo info;
-  EXPECT_EQ(io::load_artifact(path, &info), old_payload);
-  EXPECT_TRUE(info.checksummed);
-  remove_file(path);
+  EXPECT_EQ(io::load_artifact(path), old_payload);
 }
 
 TEST(IoFileFaults, ShortReadAndCorruptNeverYieldAVerifiedWrongPayload) {
   InjectorGuard guard;
-  const std::string path = test_path("readfaults.bin");
+  const ScopedTempFile file = test_file("readfaults.bin");
+  const std::string& path = file.path();
   const std::string payload(300, 'z');
   io::save_artifact(path, payload);
 
-  // A racing truncation (strict prefix) loses the footer: the load must
-  // surface as unverified (legacy fallback) or fail — never return a
-  // checksummed-but-truncated payload.
+  // A racing truncation (strict prefix) loses the footer: the load fails.
   FaultInjector::instance().configure("io.read:short-read:1");
-  try {
-    io::ArtifactInfo info;
-    const std::string loaded = io::load_artifact(path, &info);
-    EXPECT_FALSE(info.checksummed);
-    EXPECT_LT(loaded.size(), payload.size() + 16u);
-  } catch (const std::runtime_error&) {
-    // Outright rejection is fine too.
-  }
+  EXPECT_THROW((void)io::load_artifact(path), std::runtime_error);
 
-  // A flipped bit must be caught by the CRC footer — or, if the flip lands
-  // in the footer itself, surface as an unverified legacy load. Never a
-  // silently-wrong verified payload.
+  // A flipped bit must be caught by the CRC footer — or, if it lands in the
+  // footer itself, by the footer check. Never a silently-wrong payload.
   FaultInjector::instance().configure("io.read:corrupt:1");
   try {
-    io::ArtifactInfo info;
-    const std::string loaded = io::load_artifact(path, &info);
-    if (info.checksummed) {
-      FAIL() << "corrupt read returned a verified payload";
-    }
+    (void)io::load_artifact(path);
+    FAIL() << "corrupt read returned a verified payload";
   } catch (const std::runtime_error&) {
-    // CRC mismatch: the common (and preferred) outcome.
+    // CRC mismatch or a damaged footer: both refuse the bytes.
   }
 
   FaultInjector::instance().configure("");
-  io::ArtifactInfo info;
-  EXPECT_EQ(io::load_artifact(path, &info), payload);
-  EXPECT_TRUE(info.checksummed);
-  remove_file(path);
+  EXPECT_EQ(io::load_artifact(path), payload);
 }
 
 TEST(IoFileFaults, EintrIsTransparentAtModerateRateAndTypedInAStorm) {
   InjectorGuard guard;
-  const std::string path = test_path("eintr.bin");
+  const ScopedTempFile file = test_file("eintr.bin");
+  const std::string& path = file.path();
 
   // Sporadic EINTR-class hiccups are retried inside the shim: every save
   // and load below must succeed as if no fault were armed. The schedule is
@@ -188,13 +160,14 @@ TEST(IoFileFaults, EintrIsTransparentAtModerateRateAndTypedInAStorm) {
   FaultInjector::instance().configure("io.read:eintr:1");
   EXPECT_THROW((void)io::load_artifact(path), std::runtime_error);
   FaultInjector::instance().configure("");
-  remove_file(path);
 }
 
 TEST(IoFileFaults, TornDamageIsDeterministicUnderFixedSpecAndSeed) {
   InjectorGuard guard;
-  const std::string path_a = test_path("torn_a.bin");
-  const std::string path_b = test_path("torn_b.bin");
+  const ScopedTempFile file_a = test_file("torn_a.bin");
+  const ScopedTempFile file_b = test_file("torn_b.bin");
+  const std::string& path_a = file_a.path();
+  const std::string& path_b = file_b.path();
   const std::string payload(513, 'q');
 
   FaultInjector::instance().configure("io.write:torn:1");
@@ -207,8 +180,6 @@ TEST(IoFileFaults, TornDamageIsDeterministicUnderFixedSpecAndSeed) {
   // bitwise identical. The chaos campaign's run-twice oracle needs exactly
   // this reproducibility of the damage itself.
   EXPECT_EQ(slurp(path_a), slurp(path_b));
-  remove_file(path_a);
-  remove_file(path_b);
 }
 
 // ---------------------------------------------------------------------------

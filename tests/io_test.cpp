@@ -2,8 +2,6 @@
 // checkpoints) and the command-line flag parser.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -18,18 +16,15 @@
 #include "src/text/serialize.h"
 #include "src/util/args.h"
 #include "src/util/serialize.h"
+#include "tests/state_dir.h"
 
 namespace advtext {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("advtext_test_" + name))
-      .string();
-}
-
 struct TempFile {
-  explicit TempFile(const std::string& name) : path(temp_path(name)) {}
-  ~TempFile() { std::remove(path.c_str()); }
+  explicit TempFile(const std::string& name)
+      : scoped("advtext_test_", name), path(scoped.path()) {}
+  ScopedTempFile scoped;
   std::string path;
 };
 
@@ -192,17 +187,18 @@ TEST(Serialize, CorruptedTaskArtifactIsRejected) {
         << e.what();
   }
 
-  // Same flip on a footer-less (seed-era) copy: no checksum to save us, so
-  // the read-size cap must reject the absurd length instead.
+  // Same flip with the footer stripped: the envelope refuses the file
+  // before any reader parses it (the read-size caps have their own tests).
   {
     std::ofstream out(file.path, std::ios::binary | std::ios::trunc);
     out << flipped.substr(0, flipped.size() - 16);  // strip envelope footer
   }
   try {
     io::load_task(file.path);
-    FAIL() << "legacy load accepted a corrupt length field";
+    FAIL() << "load_task accepted a footer-less file";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("string.bytes"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("no integrity footer"),
+              std::string::npos)
         << e.what();
   }
 
@@ -226,15 +222,12 @@ void write_file(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-TEST(Artifact, RoundTripReportsChecksummedEnvelope) {
+TEST(Artifact, RoundTripReturnsTheVerifiedPayload) {
   TempFile file("artifact_roundtrip.bin");
   const std::string payload = "resilience payload \x01\x02\x00 with nuls";
   io::save_artifact(file.path, std::string(payload.data(), payload.size()));
-  io::ArtifactInfo info;
-  EXPECT_EQ(io::load_artifact(file.path, &info),
+  EXPECT_EQ(io::load_artifact(file.path),
             std::string(payload.data(), payload.size()));
-  EXPECT_TRUE(info.checksummed);
-  EXPECT_EQ(info.version, io::kArtifactVersion);
 }
 
 TEST(Artifact, PayloadBitFlipUnderIntactFooterIsRejected) {
@@ -254,16 +247,17 @@ TEST(Artifact, PayloadBitFlipUnderIntactFooterIsRejected) {
   }
 }
 
-TEST(Artifact, SeedEraFooterlessFileIsAcceptedWithWarning) {
-  TempFile file("artifact_legacy.bin");
-  const std::string payload(64, 'y');
-  write_file(file.path, payload);  // raw bytes, no envelope footer
-  const std::size_t before = io::legacy_artifact_loads();
-  io::ArtifactInfo info;
-  EXPECT_EQ(io::load_artifact(file.path, &info), payload);
-  EXPECT_FALSE(info.checksummed);
-  EXPECT_EQ(info.version, 1u);
-  EXPECT_EQ(io::legacy_artifact_loads(), before + 1);
+TEST(Artifact, FooterlessFileIsRefused) {
+  TempFile file("artifact_footerless.bin");
+  write_file(file.path, std::string(64, 'y'));  // raw bytes, no footer
+  try {
+    (void)io::load_artifact(file.path);
+    FAIL() << "footer-less artifact accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("no integrity footer"), std::string::npos) << what;
+    EXPECT_NE(what.find(file.path), std::string::npos) << what;
+  }
 }
 
 TEST(Artifact, UnknownFutureVersionIsRejected) {
@@ -280,25 +274,19 @@ TEST(Artifact, UnknownFutureVersionIsRejected) {
   EXPECT_THROW(io::load_artifact(file.path), std::runtime_error);
 }
 
-TEST(Artifact, StaleGenerationServesAfterNewestIsCorrupted) {
-  TempFile gen1("rotation_base.bin.ckpt.1");
-  TempFile gen2("rotation_base.bin.ckpt.2");
-  const SnapshotRotation rotation(temp_path("rotation_base.bin"),
-                                  /*generations=*/2);
+TEST(Artifact, RotationShiftsTheOlderSnapshotUpOneGeneration) {
+  TempFile base("rotation_base.bin");
+  const SnapshotRotation rotation(base.path);
   rotation.write("older snapshot");
   rotation.write("newer snapshot");
-  EXPECT_EQ(read_file(gen2.path).substr(0, 5), "older");
-
-  std::string bytes = read_file(gen1.path);
-  bytes[3] ^= 0x10;
-  write_file(gen1.path, bytes);
-
-  std::vector<std::string> warnings;
-  const auto latest = rotation.read_latest(&warnings);
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(*latest, "older snapshot");
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("generation 1"), std::string::npos);
+  EXPECT_EQ(io::load_artifact(SnapshotRotation::generation_path(base.path, 1)),
+            "newer snapshot");
+  EXPECT_EQ(io::load_artifact(SnapshotRotation::generation_path(base.path, 2)),
+            "older snapshot");
+  // A third write drops the oldest: two generations are kept.
+  rotation.write("newest snapshot");
+  EXPECT_EQ(io::load_artifact(SnapshotRotation::generation_path(base.path, 2)),
+            "newer snapshot");
 }
 
 TEST(Serialize, TaskRoundTripIsExact) {

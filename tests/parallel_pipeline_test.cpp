@@ -25,6 +25,7 @@
 #include "src/util/robust.h"
 #include "src/util/stop_token.h"
 #include "src/util/sync.h"
+#include "tests/state_dir.h"
 
 namespace advtext {
 namespace {
@@ -297,12 +298,10 @@ TEST_F(ParallelPipelineFixture, ConcurrentSweepsKeepTheirOwnWmdTally) {
 
 TEST_F(ParallelPipelineFixture, SerialAndParallelResumeEachOther) {
   InjectorGuard guard;
-  const std::string serial_ckpt =
-      ::testing::TempDir() + "advtext_parallel_serial_ckpt.bin";
-  const std::string parallel_ckpt =
-      ::testing::TempDir() + "advtext_parallel_parallel_ckpt.bin";
-  std::remove(serial_ckpt.c_str());
-  std::remove(parallel_ckpt.c_str());
+  const ScopedTempFile serial_file("advtext_parallel_", "serial_ckpt.bin");
+  const ScopedTempFile parallel_file("advtext_parallel_", "parallel_ckpt.bin");
+  const std::string& serial_ckpt = serial_file.path();
+  const std::string& parallel_ckpt = parallel_file.path();
 
   const AttackEvalResult reference = run(sweep_config(1, 10));
 
@@ -334,15 +333,12 @@ TEST_F(ParallelPipelineFixture, SerialAndParallelResumeEachOther) {
     expect_results_bitwise_equal(reference, run(serial_resumed));
   }
 
-  std::remove(serial_ckpt.c_str());
-  std::remove(parallel_ckpt.c_str());
 }
 
 TEST_F(ParallelPipelineFixture, SweepBudgetCapsAdmissionAndResumes) {
   InjectorGuard guard;
-  const std::string path =
-      ::testing::TempDir() + "advtext_parallel_budget_ckpt.bin";
-  std::remove(path.c_str());
+  const ScopedTempFile file("advtext_parallel_", "budget_ckpt.bin");
+  const std::string& path = file.path();
 
   const AttackEvalResult reference = run(sweep_config(1, 10));
   ASSERT_GT(reference.sweep_queries_used, 0u);
@@ -392,16 +388,13 @@ TEST_F(ParallelPipelineFixture, SweepBudgetCapsAdmissionAndResumes) {
     expect_results_bitwise_equal(reference, run(lifted));
   }
 
-  std::remove(path.c_str());
 }
 
 TEST_F(ParallelPipelineFixture, SigtermDrainsToInOrderPrefixAndResumes) {
   InjectorGuard guard;
-  const std::string path =
-      ::testing::TempDir() + "advtext_parallel_sigterm_ckpt.bin";
+  const ScopedTempFile file("advtext_parallel_", "sigterm_ckpt.bin");
+  const std::string& path = file.path();
   const std::string path_copy = path + ".copy";
-  std::remove(path.c_str());
-  std::remove(path_copy.c_str());
 
   const AttackEvalResult reference = run(sweep_config(1, 10));
 
@@ -462,8 +455,6 @@ TEST_F(ParallelPipelineFixture, SigtermDrainsToInOrderPrefixAndResumes) {
     expect_results_bitwise_equal(reference, run(parallel_resume));
   }
 
-  std::remove(path.c_str());
-  std::remove(path_copy.c_str());
 }
 
 TEST_F(ParallelPipelineFixture, WmdFaultsStayIsolatedPerDocAcrossWorkers) {

@@ -3,10 +3,7 @@
 // evaluation pipeline, and checkpoint/resume.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -27,6 +24,7 @@
 #include "src/util/rng.h"
 #include "src/util/robust.h"
 #include "src/util/serialize.h"
+#include "tests/state_dir.h"
 
 namespace advtext {
 namespace {
@@ -545,9 +543,8 @@ TEST_F(RobustnessFixture, WmdFaultsDegradeOrFailButRunCompletes) {
 
 TEST_F(RobustnessFixture, CheckpointResumeMatchesUninterruptedRun) {
   InjectorGuard guard;
-  const std::string path =
-      ::testing::TempDir() + "advtext_robustness_checkpoint.bin";
-  std::remove(path.c_str());
+  const ScopedTempFile file("advtext_robustness_", "checkpoint.bin");
+  const std::string& path = file.path();
 
   AttackEvalConfig config;
   config.max_docs = 10;
@@ -594,13 +591,12 @@ TEST_F(RobustnessFixture, CheckpointResumeMatchesUninterruptedRun) {
     EXPECT_EQ(result.attacks[i].queries, full.attacks[i].queries);
     EXPECT_EQ(result.attacks[i].termination, full.attacks[i].termination);
   }
-  std::remove(path.c_str());
 }
 
 TEST_F(RobustnessFixture, ResumeRejectsCorruptCheckpoint) {
   InjectorGuard guard;
-  const std::string path =
-      ::testing::TempDir() + "advtext_robustness_corrupt.bin";
+  const ScopedTempFile file("advtext_robustness_", "corrupt.bin");
+  const std::string& path = file.path();
   {
     std::ofstream out(path, std::ios::binary);
     out << "definitely not a checkpoint";
@@ -611,7 +607,6 @@ TEST_F(RobustnessFixture, ResumeRejectsCorruptCheckpoint) {
   config.resume = true;
   EXPECT_THROW(evaluate_attack(*model_, *task_, *context_, config),
                std::runtime_error);
-  std::remove(path.c_str());
 }
 
 // A checkpoint written in an earlier record layout carries an earlier tag:
@@ -619,9 +614,8 @@ TEST_F(RobustnessFixture, ResumeRejectsCorruptCheckpoint) {
 // misparsed field by field.
 TEST_F(RobustnessFixture, ResumeRefusesACheckpointInTheOldLayout) {
   InjectorGuard guard;
-  const std::string path = ::testing::TempDir() +
-                           "advtext_robustness_old_layout_" +
-                           std::to_string(::getpid()) + ".bin";
+  const ScopedTempFile file("advtext_robustness_", "old_layout.bin");
+  const std::string& path = file.path();
   std::ostringstream payload;
   io::write_magic(payload);
   io::write_string(payload, "attack-checkpoint");
@@ -640,7 +634,6 @@ TEST_F(RobustnessFixture, ResumeRefusesACheckpointInTheOldLayout) {
               std::string::npos)
         << error.what();
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
-// Sharded-training tests: shards=1 identity with the serial trainer,
-// run-to-run bitwise determinism under real threading, degradation past a
-// dead shard (scoped fault injection), and drain-on-stop with bitwise
-// resume — including a shard parked at the averaging barrier and a real
-// SIGTERM.
+// Sharded-training tests: one shard on the calling thread with the bare
+// snapshot path and fault site, run-to-run bitwise determinism under real
+// threading, degradation past a dead shard (scoped fault injection), and
+// drain-on-stop with bitwise resume — including a shard parked at the
+// averaging barrier and a real SIGTERM.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
+#include <istream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -17,8 +18,12 @@
 #include "src/nn/supervisor.h"
 #include "src/nn/trainer.h"
 #include "src/nn/wcnn.h"
+#include "src/util/io_file.h"
 #include "src/util/robust.h"
+#include "src/util/serialize.h"
 #include "src/util/stop_token.h"
+#include "src/util/sync.h"
+#include "tests/state_dir.h"
 
 namespace advtext {
 namespace {
@@ -28,37 +33,16 @@ struct InjectorGuard {
   ~InjectorGuard() { FaultInjector::instance().configure_from_env(); }
 };
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          ("advtext_sharded_" + name))
-      .string();
-}
-
-/// Snapshot base with cleanup of the bare path and every per-shard suffix.
+/// Snapshot base in a per-process directory that goes with the test, with
+/// the bare path's and every shard's generations inside it.
 struct ShardSnapshotFiles {
   explicit ShardSnapshotFiles(const std::string& name)
-      : base(temp_path(name)) {
-    cleanup();
-  }
-  ~ShardSnapshotFiles() { cleanup(); }
-  void cleanup() const {
-    for (std::size_t gen = 1; gen <= 4; ++gen) {
-      auto wipe = [gen](const std::string& shard_base) {
-        const std::string path =
-            SnapshotRotation::generation_path(shard_base, gen);
-        std::remove(path.c_str());
-        std::remove((path + ".tmp").c_str());
-      };
-      wipe(base);
-      for (std::size_t k = 0; k < 4; ++k) {
-        wipe(base + ".shard" + std::to_string(k));
-      }
-    }
-  }
+      : file("advtext_sharded_", name), base(file.path()) {}
   std::string shard_generation(std::size_t k, std::size_t gen) const {
     return SnapshotRotation::generation_path(
         base + ".shard" + std::to_string(k), gen);
   }
+  ScopedTempFile file;
   std::string base;
 };
 
@@ -121,6 +105,8 @@ class ShardedFixture : public ::testing::Test {
     return config;
   }
 
+  static ShardConfig three_shards() { return ShardConfig{3, make_replica}; }
+
   /// Optimizer steps per epoch on one of the three 60-doc shards (mirrors
   /// the trainer's validation-split arithmetic).
   static std::size_t shard_steps_per_epoch() {
@@ -128,7 +114,7 @@ class ShardedFixture : public ::testing::Test {
     const std::size_t docs = task_->train.docs.size() / 3;
     const std::size_t num_val = static_cast<std::size_t>(
         config.validation_fraction * static_cast<double>(docs));
-    return (docs - num_val + config.batch_size - 1) / config.batch_size;
+    return (docs - num_val + kTrainBatchSize - 1) / kTrainBatchSize;
   }
 
   static SynthTask* task_;
@@ -136,48 +122,105 @@ class ShardedFixture : public ::testing::Test {
 
 SynthTask* ShardedFixture::task_ = nullptr;
 
-TEST_F(ShardedFixture, ShardsOneIsBitwiseIdenticalToSerialTrainer) {
+// One shard keeps the names a lone trainer always had: the bare snapshot
+// path, and the bare "train.loss" fault site (FaultInjector draws per
+// effective site, so a "@shard0" suffix would change which steps a
+// "train.loss" rule poisons).
+TEST_F(ShardedFixture, OneShardKeepsTheBareSnapshotPathAndLossSite) {
   InjectorGuard guard;
-  WCnn serial = make_model();
-  const TrainReport reference =
-      train_classifier(serial, task_->train, train_config());
+  ShardSnapshotFiles files("one_shard");
+  ResilienceConfig resilience;
+  resilience.snapshot_path = files.base;
+  resilience.max_rollbacks = 1;
 
-  WCnn sharded = make_model();
-  const ShardedTrainReport report = train_classifier_sharded(
-      sharded, make_replica, task_->train, train_config(),
-      ResilienceConfig{}, ShardConfig{1});
-  EXPECT_EQ(report.train.termination, TerminationReason::kSucceeded);
-  EXPECT_EQ(report.shards, 1u);
-  EXPECT_EQ(report.result_shard, 0u);
-  EXPECT_TRUE(report.dead_shards.empty());
-  EXPECT_EQ(report.train.epoch_losses, reference.epoch_losses);
-  EXPECT_EQ(report.train.best_validation_accuracy,
-            reference.best_validation_accuracy);
-  expect_params_bitwise_equal(serial, sharded);
+  FaultInjector::instance().configure("train.loss@shard0:nan:1.0");
+  WCnn scoped = make_model();
+  const TrainReport unpoisoned =
+      train_classifier(scoped, task_->train, train_config(), resilience);
+  EXPECT_EQ(unpoisoned.termination, TerminationReason::kSucceeded);
+  EXPECT_EQ(unpoisoned.rollbacks, 0u) << "a @shard0 rule fired on one shard";
+  ASSERT_EQ(unpoisoned.shards.size(), 1u);
+  EXPECT_TRUE(unpoisoned.dead_shards.empty());
+  EXPECT_TRUE(file_exists(SnapshotRotation::generation_path(files.base, 1)));
+  EXPECT_FALSE(file_exists(files.shard_generation(0, 1)));
+
+  FaultInjector::instance().configure("train.loss:nan:1.0");
+  WCnn poisoned_model = make_model();
+  const TrainReport poisoned = train_classifier(
+      poisoned_model, task_->train, train_config(), ResilienceConfig{});
+  EXPECT_EQ(poisoned.termination, TerminationReason::kError);
+  EXPECT_GT(poisoned.rollbacks, 0u) << "the bare train.loss rule never fired";
+}
+
+// A test-local loop: four steps, a boundary every two, and a tally of the
+// steps that ran on a pool worker and on the calling thread.
+class ThreadProbeLoop final : public ResumableTraining {
+ public:
+  bool done() const override { return steps_ >= 4; }
+  double step() override {
+    ++steps_;
+    ++(ThreadPool::current() == nullptr ? caller_steps : pool_steps);
+    return 1.0;
+  }
+  bool at_boundary() const override { return steps_ % 2 == 0; }
+  void save_state(std::ostream& out) const override {
+    io::write_u64(out, steps_);
+  }
+  void load_state(std::istream& in) override { steps_ = io::read_u64(in); }
+  void on_rollback(double) override {}
+
+  std::size_t caller_steps = 0;
+  std::size_t pool_steps = 0;
+
+ private:
+  std::size_t steps_ = 0;
+};
+
+TEST(SuperviseThreads, OneShardStepsOnTheCallingThreadAndTwoDoNot) {
+  ThreadProbeLoop lone;
+  std::vector<ShardSpec> one(1);
+  one[0].loop = &lone;
+  const SupervisorReport single = supervise(one);
+  EXPECT_EQ(single.termination, TerminationReason::kSucceeded);
+  EXPECT_EQ(lone.caller_steps, 4u);
+  EXPECT_EQ(lone.pool_steps, 0u);
+  // Its barrier released at once, at both boundaries.
+  EXPECT_EQ(single.averaging_rounds, 2u);
+
+  ThreadProbeLoop first;
+  ThreadProbeLoop second;
+  std::vector<ShardSpec> two(2);
+  two[0].loop = &first;
+  two[1].loop = &second;
+  const SupervisorReport pair = supervise(two);
+  EXPECT_EQ(pair.termination, TerminationReason::kSucceeded);
+  EXPECT_EQ(pair.averaging_rounds, 2u);
+  for (const ThreadProbeLoop* loop : {&first, &second}) {
+    EXPECT_EQ(loop->caller_steps, 0u);
+    EXPECT_EQ(loop->pool_steps, 4u);
+  }
 }
 
 TEST_F(ShardedFixture, FixedShardCountIsRunToRunDeterministic) {
   InjectorGuard guard;
   auto run = [](WCnn& model) {
-    return train_classifier_sharded(model, make_replica, task_->train,
-                                    train_config(), ResilienceConfig{},
-                                    ShardConfig{3});
+    return train_classifier(model, task_->train, train_config(),
+                            ResilienceConfig{}, three_shards());
   };
   WCnn first = make_model();
-  const ShardedTrainReport a = run(first);
+  const TrainReport a = run(first);
   WCnn second = make_model();
-  const ShardedTrainReport b = run(second);
+  const TrainReport b = run(second);
 
-  EXPECT_EQ(a.train.termination, TerminationReason::kSucceeded);
-  EXPECT_EQ(b.train.termination, TerminationReason::kSucceeded);
+  EXPECT_EQ(a.termination, TerminationReason::kSucceeded);
+  EXPECT_EQ(b.termination, TerminationReason::kSucceeded);
   EXPECT_GT(a.averaging_rounds, 0u);
   EXPECT_EQ(a.averaging_rounds, b.averaging_rounds);
   EXPECT_EQ(a.result_shard, b.result_shard);
-  EXPECT_EQ(a.train.epoch_losses, b.train.epoch_losses);
-  ASSERT_EQ(a.shard_reports.size(), 3u);
+  EXPECT_EQ(a.epoch_losses, b.epoch_losses);
+  ASSERT_EQ(a.shards.size(), 3u);
   for (std::size_t k = 0; k < 3; ++k) {
-    EXPECT_EQ(a.shard_reports[k].steps, b.shard_reports[k].steps)
-        << "shard " << k;
+    EXPECT_EQ(a.shards[k].steps, b.shards[k].steps) << "shard " << k;
   }
   // Thread scheduling varies between the runs; the parameters must not.
   expect_params_bitwise_equal(first, second);
@@ -192,28 +235,27 @@ TEST_F(ShardedFixture, DeadShardDegradesToSurvivors) {
     FaultInjector::instance().configure("train.loss@shard1:nan:1.0");
     ResilienceConfig resilience;
     resilience.max_rollbacks = 2;
-    return train_classifier_sharded(model, make_replica, task_->train,
-                                    train_config(), resilience,
-                                    ShardConfig{3});
+    return train_classifier(model, task_->train, train_config(), resilience,
+                            three_shards());
   };
   WCnn first = make_model();
-  const ShardedTrainReport a = run(first);
+  const TrainReport a = run(first);
 
-  EXPECT_EQ(a.train.termination, TerminationReason::kSucceeded);
+  EXPECT_EQ(a.termination, TerminationReason::kSucceeded);
   ASSERT_EQ(a.dead_shards.size(), 1u);
   EXPECT_EQ(a.dead_shards[0], 1u);
   EXPECT_NE(a.result_shard, 1u);
-  EXPECT_EQ(a.shard_reports[1].termination, TerminationReason::kError);
-  EXPECT_EQ(a.shard_reports[1].rollbacks, 2u);
+  EXPECT_EQ(a.shards[1].termination, TerminationReason::kError);
+  EXPECT_EQ(a.shards[1].rollbacks, 2u);
   bool degraded_named = false;
-  for (const std::string& warning : a.train.warnings) {
+  for (const std::string& warning : a.warnings) {
     if (warning.find("degraded") != std::string::npos) degraded_named = true;
   }
   EXPECT_TRUE(degraded_named) << "no warning names the degradation";
 
   // Degradation is itself deterministic.
   WCnn second = make_model();
-  const ShardedTrainReport b = run(second);
+  const TrainReport b = run(second);
   EXPECT_EQ(b.dead_shards, a.dead_shards);
   EXPECT_EQ(b.result_shard, a.result_shard);
   expect_params_bitwise_equal(first, second);
@@ -225,10 +267,9 @@ TEST_F(ShardedFixture, AllShardsDeadReportsError) {
   ResilienceConfig resilience;
   resilience.max_rollbacks = 1;
   WCnn model = make_model();
-  const ShardedTrainReport report = train_classifier_sharded(
-      model, make_replica, task_->train, train_config(), resilience,
-      ShardConfig{3});
-  EXPECT_EQ(report.train.termination, TerminationReason::kError);
+  const TrainReport report = train_classifier(
+      model, task_->train, train_config(), resilience, three_shards());
+  EXPECT_EQ(report.termination, TerminationReason::kError);
   EXPECT_EQ(report.dead_shards.size(), 3u);
 }
 
@@ -237,10 +278,10 @@ TEST_F(ShardedFixture, StopMidRunThenResumeReplaysBitwise) {
   ShardSnapshotFiles files("budget_stop");
 
   WCnn reference = make_model();
-  const ShardedTrainReport full = train_classifier_sharded(
-      reference, make_replica, task_->train, train_config(),
-      ResilienceConfig{}, ShardConfig{3});
-  EXPECT_EQ(full.train.termination, TerminationReason::kSucceeded);
+  const TrainReport full = train_classifier(
+      reference, task_->train, train_config(), ResilienceConfig{},
+      three_shards());
+  EXPECT_EQ(full.termination, TerminationReason::kSucceeded);
 
   // Per-shard step budget lands mid-epoch 2 (after the first averaging
   // barrier): the first shard over budget drains the whole group and every
@@ -249,13 +290,12 @@ TEST_F(ShardedFixture, StopMidRunThenResumeReplaysBitwise) {
   stopping.snapshot_path = files.base;
   stopping.max_steps = shard_steps_per_epoch() + 2;
   WCnn interrupted = make_model();
-  const ShardedTrainReport partial = train_classifier_sharded(
-      interrupted, make_replica, task_->train, train_config(), stopping,
-      ShardConfig{3});
-  EXPECT_EQ(partial.train.termination, TerminationReason::kStopped);
+  const TrainReport partial = train_classifier(
+      interrupted, task_->train, train_config(), stopping, three_shards());
+  EXPECT_EQ(partial.termination, TerminationReason::kStopped);
   EXPECT_EQ(partial.averaging_rounds, 1u);
   for (std::size_t k = 0; k < 3; ++k) {
-    EXPECT_GE(partial.shard_reports[k].snapshots_written, 1u)
+    EXPECT_GE(partial.shards[k].snapshots_written, 1u)
         << "shard " << k << " flushed no snapshot";
     std::FILE* probe =
         std::fopen(files.shard_generation(k, 1).c_str(), "rb");
@@ -268,12 +308,11 @@ TEST_F(ShardedFixture, StopMidRunThenResumeReplaysBitwise) {
   resuming.snapshot_path = files.base;
   resuming.resume = true;
   WCnn resumed = make_model();
-  const ShardedTrainReport rest = train_classifier_sharded(
-      resumed, make_replica, task_->train, train_config(), resuming,
-      ShardConfig{3});
-  EXPECT_EQ(rest.train.termination, TerminationReason::kSucceeded);
-  EXPECT_TRUE(rest.train.resumed);
-  EXPECT_EQ(rest.train.epoch_losses, full.train.epoch_losses);
+  const TrainReport rest = train_classifier(
+      resumed, task_->train, train_config(), resuming, three_shards());
+  EXPECT_EQ(rest.termination, TerminationReason::kSucceeded);
+  EXPECT_TRUE(rest.resumed);
+  EXPECT_EQ(rest.epoch_losses, full.epoch_losses);
   expect_params_bitwise_equal(reference, resumed);
 }
 
@@ -291,12 +330,10 @@ TEST_F(ShardedFixture, SigtermDrainsAllShardsAndResumesBitwise) {
         ResilienceConfig resilience;
         resilience.snapshot_path = files.base;
         WCnn model = make_model();
-        const ShardedTrainReport report = train_classifier_sharded(
-            model, make_replica, task_->train, train_config(), resilience,
-            ShardConfig{3});
-        bool clean_stop =
-            report.train.termination == TerminationReason::kStopped;
-        for (const SupervisorReport& shard : report.shard_reports) {
+        const TrainReport report = train_classifier(
+            model, task_->train, train_config(), resilience, three_shards());
+        bool clean_stop = report.termination == TerminationReason::kStopped;
+        for (const SupervisorReport& shard : report.shards) {
           clean_stop = clean_stop && shard.snapshots_written >= 1;
         }
         std::_Exit(clean_stop ? 5 : 1);
@@ -304,19 +341,17 @@ TEST_F(ShardedFixture, SigtermDrainsAllShardsAndResumesBitwise) {
       ::testing::ExitedWithCode(5), "");
 
   WCnn reference = make_model();
-  train_classifier_sharded(reference, make_replica, task_->train,
-                           train_config(), ResilienceConfig{},
-                           ShardConfig{3});
+  train_classifier(reference, task_->train, train_config(),
+                   ResilienceConfig{}, three_shards());
 
   ResilienceConfig resuming;
   resuming.snapshot_path = files.base;
   resuming.resume = true;
   WCnn resumed = make_model();
-  const ShardedTrainReport rest = train_classifier_sharded(
-      resumed, make_replica, task_->train, train_config(), resuming,
-      ShardConfig{3});
-  EXPECT_TRUE(rest.train.resumed);
-  EXPECT_EQ(rest.train.termination, TerminationReason::kSucceeded);
+  const TrainReport rest = train_classifier(
+      resumed, task_->train, train_config(), resuming, three_shards());
+  EXPECT_TRUE(rest.resumed);
+  EXPECT_EQ(rest.termination, TerminationReason::kSucceeded);
   expect_params_bitwise_equal(reference, resumed);
 }
 
@@ -339,19 +374,18 @@ TEST(ShardedUneven, ShardParkedAtBarrierDrainsAndResumesBitwise) {
   config.epochs = 2;
 
   WCnn reference(model_config, Matrix(task.paragram));
-  const ShardedTrainReport full = train_classifier_sharded(
-      reference, make_replica, task.train, config, ResilienceConfig{},
-      ShardConfig{2});
-  EXPECT_EQ(full.train.termination, TerminationReason::kSucceeded);
+  const TrainReport full = train_classifier(
+      reference, task.train, config, ResilienceConfig{},
+      ShardConfig{2, make_replica});
+  EXPECT_EQ(full.termination, TerminationReason::kSucceeded);
 
   ResilienceConfig stopping;
   stopping.snapshot_path = files.base;
   stopping.max_steps = 4;
   WCnn interrupted(model_config, Matrix(task.paragram));
-  const ShardedTrainReport partial = train_classifier_sharded(
-      interrupted, make_replica, task.train, config, stopping,
-      ShardConfig{2});
-  EXPECT_EQ(partial.train.termination, TerminationReason::kStopped);
+  const TrainReport partial = train_classifier(
+      interrupted, task.train, config, stopping, ShardConfig{2, make_replica});
+  EXPECT_EQ(partial.termination, TerminationReason::kStopped);
   // The budget hits before the first barrier completes: no averaging.
   EXPECT_EQ(partial.averaging_rounds, 0u);
 
@@ -359,10 +393,10 @@ TEST(ShardedUneven, ShardParkedAtBarrierDrainsAndResumesBitwise) {
   resuming.snapshot_path = files.base;
   resuming.resume = true;
   WCnn resumed(model_config, Matrix(task.paragram));
-  const ShardedTrainReport rest = train_classifier_sharded(
-      resumed, make_replica, task.train, config, resuming, ShardConfig{2});
-  EXPECT_EQ(rest.train.termination, TerminationReason::kSucceeded);
-  EXPECT_TRUE(rest.train.resumed);
+  const TrainReport rest = train_classifier(
+      resumed, task.train, config, resuming, ShardConfig{2, make_replica});
+  EXPECT_EQ(rest.termination, TerminationReason::kSucceeded);
+  EXPECT_TRUE(rest.resumed);
   EXPECT_EQ(rest.averaging_rounds, full.averaging_rounds);
   expect_params_bitwise_equal(reference, resumed);
 }

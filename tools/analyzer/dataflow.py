@@ -103,8 +103,7 @@ _SYNC_FILES = ("src/util/sync.h", "src/util/sync.cpp")
 #: *between* — polling inside a single query's token loop is the wrong
 #: granularity (documented soundness caveat in DESIGN.md §5.1).
 _HOT_PREFIXES = ("src/core/", "src/eval/", "src/service/",
-                 "src/nn/supervisor", "src/nn/sharded_supervisor",
-                 "src/nn/trainer")
+                 "src/nn/supervisor", "src/nn/trainer")
 
 #: Functions implementing a single model query (or its gradient): their
 #: internal loops are one unit of heavy work, not a sequence of them.

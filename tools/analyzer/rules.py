@@ -459,6 +459,29 @@ def check_env_access(ctx: FileContext):
                 "configuration through explicit config structs")
 
 
+_RE_SHARED_TEMP = re.compile(
+    r"temp_directory_path\s*\(|(?<![\w])testing\s*::\s*TempDir\s*\(")
+#: The one test header that names the temp directory: it hands out
+#: per-process paths that are removed when the test ends.
+TEMP_PATH_ALLOWED = {"tests/state_dir.h"}
+
+
+@file_rule("shared-temp-path",
+           "tests name the temp directory only through tests/state_dir.h")
+def check_shared_temp_path(ctx: FileContext):
+    if not ctx.in_dir("tests/") or ctx.rel in TEMP_PATH_ALLOWED:
+        return
+    for idx, line in enumerate(ctx.code_lines, start=1):
+        if _RE_SHARED_TEMP.search(line):
+            yield Finding(
+                ctx.rel, idx, "shared-temp-path",
+                "a path under the shared temp directory: two processes "
+                "running one test binary at once (two build trees, or a "
+                "sanitizer tree beside the normal one) delete or overwrite "
+                "each other's files; take a per-process ScopedTempFile or "
+                "ScopedStateDir from tests/state_dir.h")
+
+
 # ---------------------------------------------------------------------------
 # Semantic (interprocedural) rules — symbol index + call graph + CFG.
 # The checkers live in dataflow.py; registration here keeps the catalog in

@@ -34,10 +34,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 #: Fixtures analyzed together to produce the golden ``--json`` payload:
 #: a semantic finding with a multi-hop call-chain witness, a loop finding
-#: with a single-hop witness, and a reasoned suppression — every field of
-#: the JSON schema is exercised in one byte-pinned document.
+#: with a single-hop witness, a file-rule finding with no witness, and a
+#: reasoned suppression — every field of the JSON schema is exercised in
+#: one byte-pinned document.
 GOLDEN_FIXTURES = ("uncharged_forward_firing.cpp",
                    "unpolled_loop_firing.cpp",
+                   "shared_temp_path_firing.cpp",
                    "allow_with_reason.cpp")
 GOLDEN_PATH = TESTDATA / "golden_findings.json"
 
