@@ -97,10 +97,12 @@ struct AttackEvalConfig {
   /// Attack worker threads. Every value runs the same sweep: records are
   /// folded, appended, and checkpointed strictly in ascending doc_index
   /// order. 1 (the default) runs the one worker on the calling thread and
-  /// spawns none; K > 1 attacks up to K documents concurrently on a sync.h
-  /// ThreadPool. For a deterministic model (no MC dropout) and no per-doc
-  /// deadline, results and checkpoint files are bitwise-identical at every
-  /// worker count (timing fields excepted), and runs at different counts
+  /// spawns no sweep worker, though an LSTM or GRU scoring batch may still
+  /// split over the process's parallel_for helpers (sync.h); K > 1 attacks
+  /// up to K documents concurrently on a sync.h ThreadPool. For a
+  /// deterministic model (no MC dropout) and no per-doc deadline, results
+  /// and checkpoint files are bitwise-identical at every worker count and
+  /// every CPU count (timing fields excepted), and runs at different counts
   /// resume each other's checkpoints.
   std::size_t threads = 1;
   /// Required when threads > 1: builds one independent model replica per

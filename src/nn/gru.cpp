@@ -385,14 +385,23 @@ struct GruCell {
     model.gate_preact_x(wx, x, m, zx);
   }
 
-  void advance(const float* const* zx, std::size_t m, float* const* state) {
+  struct Scratch {
+    Matrix azr, z, rn, acand;
+  };
+
+  void reserve(Scratch& scratch, std::size_t m) const {
+    if (scratch.azr.rows() >= m) return;
     const std::size_t hidden = model.config().hidden;
-    if (azr.rows() < m) {
-      azr = Matrix(m, 2 * hidden);
-      z = Matrix(m, hidden);
-      rn = Matrix(m, hidden);
-      acand = Matrix(m, hidden);
-    }
+    scratch.azr = Matrix(m, 2 * hidden);
+    scratch.z = Matrix(m, hidden);
+    scratch.rn = Matrix(m, hidden);
+    scratch.acand = Matrix(m, hidden);
+  }
+
+  void advance(const float* const* zx, std::size_t m, float* const* state,
+               Scratch& scratch) const {
+    const std::size_t hidden = model.config().hidden;
+    auto& [azr, z, rn, acand] = scratch;
     float* h = state[0];
     model.gate_preact_zr(uh_zr, h, m, azr.data());
     for (std::size_t j = 0; j < m; ++j) {
@@ -407,7 +416,6 @@ struct GruCell {
 
   const GruClassifier& model;
   PackedB wx, uh_zr, uh_cand;
-  Matrix azr, z, rn, acand;
 };
 
 }  // namespace

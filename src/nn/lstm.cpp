@@ -349,9 +349,20 @@ struct LstmCell {
     model.gate_preact_x(wx, x, m, zx);
   }
 
-  void advance(const float* const* zx, std::size_t m, float* const* state) {
+  struct Scratch {
+    Matrix zh;  ///< recurrent pre-activations
+  };
+
+  void reserve(Scratch& scratch, std::size_t m) const {
+    if (scratch.zh.rows() < m) {
+      scratch.zh = Matrix(m, 4 * model.config().hidden);
+    }
+  }
+
+  void advance(const float* const* zx, std::size_t m, float* const* state,
+               Scratch& scratch) const {
     const std::size_t hidden = model.config().hidden;
-    if (zh.rows() < m) zh = Matrix(m, 4 * hidden);
+    Matrix& zh = scratch.zh;
     model.gate_preact_h(wh, state[0], m, zh.data());
     for (std::size_t j = 0; j < m; ++j) {
       model.step_from_preact(zx[j], zh.row(j), state[0] + j * hidden,
@@ -361,7 +372,6 @@ struct LstmCell {
 
   const LstmClassifier& model;
   PackedB wx, wh;
-  Matrix zh;
 };
 
 }  // namespace

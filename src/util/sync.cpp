@@ -1,7 +1,12 @@
 #include "src/util/sync.h"
 
+#include <sched.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <limits>
 #include <utility>
 
 #include "src/util/check.h"
@@ -9,8 +14,164 @@
 namespace advtext {
 
 std::size_t hardware_threads() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int n = CPU_COUNT(&mask);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
+}
+
+std::size_t parallel_width() {
+  static const std::size_t width = hardware_threads();
+  return width;
+}
+
+namespace {
+
+/// One parallel_for call, on its caller's stack. Shares are claimed through
+/// `next`; `inside` counts the helpers that may still claim or run one, and
+/// the caller returns only once it is 0.
+struct ParallelJob {
+  ParallelJob(std::size_t count, const std::function<void(std::size_t)>& body)
+      : shares(count), fn(body) {}
+
+  const std::size_t shares;
+  const std::function<void(std::size_t)>& fn;
+  std::atomic<std::size_t> next{1};  ///< the caller runs share 0 unclaimed
+
+  Mutex mu;
+  CondVar left;  ///< a helper left the job
+  std::size_t inside ADVTEXT_GUARDED_BY(mu) = 0;
+  std::size_t error_share ADVTEXT_GUARDED_BY(mu) =
+      std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error ADVTEXT_GUARDED_BY(mu);
+
+  bool exhausted() const {
+    return next.load(std::memory_order_relaxed) >= shares;
+  }
+
+  void run_share(std::size_t share) ADVTEXT_EXCLUDES(mu) {
+    try {
+      fn(share);
+    } catch (...) {
+      MutexLock lock(mu);
+      if (share < error_share) {
+        error_share = share;
+        error = std::current_exception();
+      }
+    }
+  }
+
+  void run_unclaimed() ADVTEXT_EXCLUDES(mu) {
+    for (std::size_t share = next.fetch_add(1); share < shares;
+         share = next.fetch_add(1)) {
+      run_share(share);
+    }
+  }
+
+  void rethrow() ADVTEXT_EXCLUDES(mu) {
+    std::exception_ptr first;
+    {
+      MutexLock lock(mu);
+      first = error;
+    }
+    if (first) std::rethrow_exception(first);
+  }
+};
+
+/// The process-wide helpers behind parallel_for. Created once and never
+/// destroyed: a forked child inherits the object without its threads, and
+/// parked helpers hold nothing that exit() tears down.
+class ParallelHelpers {
+ public:
+  explicit ParallelHelpers(std::size_t helpers) : owner_(getpid()) {
+    threads_.reserve(helpers);
+    for (std::size_t i = 0; i < helpers; ++i) {
+      threads_.emplace_back([this] { helper_loop(); });
+    }
+  }
+
+  /// The helpers are this process's own, not a forked parent's.
+  bool owned() const { return getpid() == owner_; }
+
+  /// Posts `job`, runs its shares with the helpers, and waits for the
+  /// helpers that entered it.
+  void share_out(ParallelJob& job) ADVTEXT_EXCLUDES(mu_) {
+    {
+      MutexLock lock(mu_);
+      open_.push_back(&job);
+    }
+    const std::size_t wake = std::min(job.shares - 1, threads_.size());
+    for (std::size_t i = 0; i < wake; ++i) wake_.notify_one();
+    job.run_share(0);
+    job.run_unclaimed();
+    {
+      // Off the list, no helper can enter the job any more.
+      MutexLock lock(mu_);
+      std::erase(open_, &job);
+    }
+    MutexLock lock(job.mu);
+    while (job.inside != 0) job.left.wait(job.mu);
+  }
+
+ private:
+  void helper_loop() ADVTEXT_EXCLUDES(mu_) {
+    while (true) {
+      ParallelJob& job = enter();
+      job.run_unclaimed();
+      MutexLock lock(job.mu);
+      if (--job.inside == 0) job.left.notify_all();
+    }
+  }
+
+  /// Parks until a posted job has an unclaimed share, then enters it.
+  ParallelJob& enter() ADVTEXT_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    while (true) {
+      std::erase_if(open_,
+                    [](const ParallelJob* job) { return job->exhausted(); });
+      if (!open_.empty()) {
+        ParallelJob& job = *open_.front();
+        MutexLock job_lock(job.mu);
+        ++job.inside;
+        return job;
+      }
+      wake_.wait(mu_);
+    }
+  }
+
+  const pid_t owner_;
+  Mutex mu_;
+  CondVar wake_;
+  std::vector<ParallelJob*> open_ ADVTEXT_GUARDED_BY(mu_);
+  std::vector<std::thread> threads_;
+};
+
+ParallelHelpers& parallel_helpers() {
+  static ParallelHelpers* const helpers =
+      new ParallelHelpers(parallel_width() - 1);
+  return *helpers;
+}
+
+}  // namespace
+
+void parallel_for(std::size_t shares,
+                  const std::function<void(std::size_t)>& fn) {
+  if (shares <= 1) {
+    if (shares == 1) fn(0);
+    return;
+  }
+  ParallelJob job(shares, fn);
+  if (parallel_width() > 1 && parallel_helpers().owned()) {
+    parallel_helpers().share_out(job);
+  } else {
+    job.run_share(0);
+    job.run_unclaimed();
+  }
+  job.rethrow();
 }
 
 void CondVar::wait(Mutex& mu) {

@@ -29,6 +29,10 @@
 //     report within a bound, instead of a silent hang. The daemon's job
 //     watchdog and the chaos campaign's no-hang oracle are built on these.
 //
+//   * parallel_for — splits one call's independent shares over the caller
+//     and a process-wide set of helpers (one per other CPU of the
+//     affinity mask), so a serial caller can use every core it may run on.
+//
 // Determinism note: threads make *scheduling* nondeterministic, never
 // results — consumers (the sharded trainer's supervise()) are designed so
 // that all cross-thread reductions happen at barriers in a fixed order. Nothing in
@@ -106,11 +110,29 @@
 
 namespace advtext {
 
-/// Hardware concurrency hint with a floor of 1 (0 is a legal
-/// std::thread::hardware_concurrency result). Lives here because sync.* is
-/// the only code allowed to name std::thread; callers size worker pools and
-/// stamp benchmark records with it.
+/// CPUs this process may run on: the count of its CPU affinity mask
+/// (`taskset -c 0` gives 1), falling back to
+/// std::thread::hardware_concurrency, with a floor of 1. Lives here because
+/// sync.* is the only code allowed to name std::thread; callers size worker
+/// pools and stamp benchmark records with it.
 std::size_t hardware_threads();
+
+/// The most shares one parallel_for call runs at once: the caller plus one
+/// helper per other CPU, i.e. hardware_threads() when first read.
+std::size_t parallel_width();
+
+/// Runs fn(s) once for every share s in [0, shares) and returns when all
+/// have finished. The caller runs share 0, then claims every share no
+/// helper has claimed yet, so progress never waits for a free helper; it
+/// waits only for shares a helper already runs. Helpers are created on the
+/// first call that has a share for them and live for the process; a one-CPU
+/// process, a one-share call and a child forked after the helpers exist run
+/// every share inline. Shares must be independent of one another. An
+/// exception a share throws is caught; once every claimed share has
+/// finished, the lowest-indexed share's exception is rethrown on the caller
+/// with its type.
+void parallel_for(std::size_t shares,
+                  const std::function<void(std::size_t)>& fn);
 
 /// Annotated exclusive mutex. Prefer MutexLock for scoped acquisition;
 /// lock()/unlock() exist for the rare hand-over-hand pattern and for

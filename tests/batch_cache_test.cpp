@@ -1,8 +1,10 @@
 // Batched candidate scoring tests: the batched evaluator entry points must
-// be bit-identical to the per-candidate loops for every model family; every
-// evaluated row is one query and one budget charge, whichever entry point
-// scored it; a per-document query cap binds identically at any worker
-// count; and a SIGTERM-interrupted sweep resumes bitwise.
+// be bit-identical to the per-candidate loops for every model family, and
+// the recurrent evaluators at every share count and with two evaluators
+// scoring at once; every evaluated row is one query and one budget charge,
+// whichever entry point scored it; a per-document query cap binds
+// identically at any worker count; and a SIGTERM-interrupted sweep resumes
+// bitwise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,11 +25,13 @@
 #include "src/nn/checkpoint.h"
 #include "src/nn/gru.h"
 #include "src/nn/lstm.h"
+#include "src/nn/recurrent_swap_evaluator.h"
 #include "src/nn/trainer.h"
 #include "src/nn/wcnn.h"
 #include "src/util/robust.h"
 #include "src/util/rng.h"
 #include "src/util/stop_token.h"
+#include "src/util/sync.h"
 #include "tests/ulp.h"
 #include "tests/state_dir.h"
 
@@ -384,6 +388,125 @@ TEST(BatchedScoring, EveryEvaluatedRowChargesOneQuery) {
     EXPECT_THROW((void)evaluator->eval_tokens(swapped), CheckError);
     EXPECT_EQ(evaluator->queries(), 12u);
     EXPECT_EQ(evaluator->queries(), budget.used());
+  }
+}
+
+// ---- recurrent shares ------------------------------------------------------
+
+std::vector<std::unique_ptr<TextClassifier>> recurrent_models() {
+  std::vector<std::unique_ptr<TextClassifier>> models;
+  for (auto& model : all_models()) {
+    if (dynamic_cast<const LstmClassifier*>(model.get()) != nullptr ||
+        dynamic_cast<const GruClassifier*>(model.get()) != nullptr) {
+      models.push_back(std::move(model));
+    }
+  }
+  return models;
+}
+
+// Batch widths that split into one share, two shares and the most shares
+// this process runs (parallel_width()), the last two with a ragged tail.
+std::vector<std::size_t> share_widths() {
+  return {kMinRowsPerShare, 2 * kMinRowsPerShare + 1,
+          parallel_width() * kMinRowsPerShare + 3};
+}
+
+// Swaps at every kind of position: the first, the last, and a stride
+// through the rest, so rows start their suffix at different steps.
+std::vector<SwapCandidate> spread_swaps(const TokenSeq& base,
+                                        std::size_t width) {
+  const std::size_t n = base.size();
+  std::vector<SwapCandidate> swaps;
+  for (std::size_t i = 0; i < width; ++i) {
+    const std::size_t pos = i == 1 ? n - 1 : (i * 7) % n;
+    swaps.push_back({pos, static_cast<WordId>(3 + i % 5)});
+  }
+  return swaps;
+}
+
+bool same_matrix(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Every row of a batch split into 1, 2 or the most shares equals the
+// one-row call and predict_proba exactly, for swaps and for tokens rows
+// (two edits each, first differences from position 0 to the base itself),
+// LSTM and GRU at hidden 7 and 16.
+TEST(RecurrentShares, EveryShareCountMatchesOneRowCallsAndPredictProba) {
+  const TokenSeq base = sample_tokens(37, 43);
+  const std::size_t n = base.size();
+  for (const auto& model : recurrent_models()) {
+    auto batched = model->make_swap_evaluator(base);
+    auto single = model->make_swap_evaluator(base);
+    for (const std::size_t width : share_widths()) {
+      SCOPED_TRACE(testing::Message() << "classes=" << model->num_classes()
+                                      << " width=" << width);
+      const std::vector<SwapCandidate> swaps = spread_swaps(base, width);
+      Matrix scores;
+      ASSERT_EQ(batched->eval_swap_batch(swaps, scores).evaluated, width);
+      for (std::size_t i = 0; i < width; ++i) {
+        expect_rows_equal(scores, i,
+                          single->eval_swap(swaps[i].pos, swaps[i].word),
+                          "swap vs one-row call");
+        TokenSeq swapped = base;
+        swapped[swaps[i].pos] = swaps[i].word;
+        expect_rows_equal(scores, i, model->predict_proba(swapped),
+                          "swap vs predict_proba");
+      }
+
+      std::vector<TokenSeq> docs;
+      for (std::size_t i = 0; i < width; ++i) {
+        TokenSeq doc = base;
+        if (i + 1 < width) {
+          doc[(i * 5) % n] = static_cast<WordId>(4 + i % 3);
+          doc[n - 1 - i % 3] = static_cast<WordId>(9 + i % 2);
+        }
+        docs.push_back(doc);
+      }
+      ASSERT_EQ(batched->eval_tokens_batch(docs, scores).evaluated, width);
+      for (std::size_t i = 0; i < width; ++i) {
+        expect_rows_equal(scores, i, single->eval_tokens(docs[i]),
+                          "tokens vs one-row call");
+        expect_rows_equal(scores, i, model->predict_proba(docs[i]),
+                          "tokens vs predict_proba");
+      }
+    }
+  }
+}
+
+// Two evaluators scoring their widest batches at once, on two pool
+// workers, share the helpers and still produce their solo rows.
+TEST(RecurrentShares, TwoEvaluatorsScoringAtOnceMatchTheirSoloRows) {
+  const std::size_t width = share_widths().back();
+  for (const auto& model : recurrent_models()) {
+    SCOPED_TRACE(testing::Message() << "classes=" << model->num_classes());
+    const TokenSeq bases[2] = {sample_tokens(41, 47), sample_tokens(29, 53)};
+    std::unique_ptr<SwapEvaluator> evaluators[2];
+    std::vector<SwapCandidate> swaps[2];
+    Matrix solo[2];
+    for (std::size_t e = 0; e < 2; ++e) {
+      evaluators[e] = model->make_swap_evaluator(bases[e]);
+      swaps[e] = spread_swaps(bases[e], width);
+      (void)evaluators[e]->eval_swap_batch(swaps[e], solo[e]);
+    }
+    constexpr std::size_t kRepeats = 20;
+    bool matched[2] = {true, true};
+    {
+      ThreadPool pool(2);
+      for (std::size_t e = 0; e < 2; ++e) {
+        pool.submit([&, e] {
+          Matrix scores;
+          for (std::size_t r = 0; r < kRepeats; ++r) {
+            (void)evaluators[e]->eval_swap_batch(swaps[e], scores);
+            matched[e] = matched[e] && same_matrix(scores, solo[e]);
+          }
+        });
+      }
+      pool.wait_idle();
+    }
+    EXPECT_TRUE(matched[0]);
+    EXPECT_TRUE(matched[1]);
   }
 }
 

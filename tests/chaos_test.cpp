@@ -300,19 +300,23 @@ TEST(WatchdogTest, ReportsOneStallPerEpisodeAndReArms) {
   EXPECT_EQ(stalls, 2u) << "watchdog did not re-arm after progress";
 }
 
+// The stall bound is far beyond any time a loaded scheduler keeps a
+// runnable thread off a CPU, so only a real stall could trip it; each
+// window spans two stall bounds.
 TEST(WatchdogTest, QuietWhileIdleAndWhileBeating) {
   ThreadPool pool(1);
   Watchdog::Config config;
-  config.stall_ms = 30.0;
+  config.stall_ms = 250.0;
   config.poll_ms = 5.0;
+  const double window_ms = 2 * config.stall_ms;
   Watchdog watchdog(pool.heartbeats(), config, nullptr);
 
   // A beating worker is never a stall, no matter how long it runs.
-  (void)pool.submit([] {
+  (void)pool.submit([window_ms] {
     Heartbeat* heart = ThreadPool::current();
     if (heart == nullptr) return;
     Stopwatch clock;
-    while (clock.elapsed_ms() < 120.0) heart->beat();
+    while (clock.elapsed_ms() < window_ms) heart->beat();
   });
   pool.wait_idle();
   EXPECT_EQ(watchdog.stalls(), 0u);
@@ -323,7 +327,7 @@ TEST(WatchdogTest, QuietWhileIdleAndWhileBeating) {
   {
     MutexLock lock(mu);
     Stopwatch clock;
-    while (clock.elapsed_ms() < 3 * config.stall_ms) {
+    while (clock.elapsed_ms() < window_ms) {
       (void)cv.wait_for_ms(mu, 10);
     }
   }

@@ -1,14 +1,23 @@
 // Concurrency-primitive tests: Mutex/MutexLock/CondVar, the bounded MPMC
-// TaskQueue, ThreadPool lifecycle, and the FaultInjector's thread-safety
-// (deterministic combined fire counts under concurrent sites, '@'-scoped
-// site matching).
+// TaskQueue, ThreadPool lifecycle, hardware_threads() against the affinity
+// mask, parallel_for (each share once, share 0 on the caller, typed
+// rethrow, concurrent callers, a forked child), and the FaultInjector's
+// thread-safety (deterministic combined fire counts under concurrent
+// sites, '@'-scoped site matching).
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "src/util/check.h"
 #include "src/util/robust.h"
+#include "src/util/stopwatch.h"
 #include "src/util/sync.h"
 
 namespace advtext {
@@ -128,6 +137,142 @@ TEST(ThreadPoolTest, WaitIdleWithNoTasksReturnsImmediately) {
   ThreadPool pool(2);
   pool.wait_idle();
   EXPECT_EQ(pool.threads(), 2u);
+}
+
+std::size_t affinity_count() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return 0;
+  return static_cast<std::size_t>(CPU_COUNT(&mask));
+}
+
+TEST(HardwareThreadsTest, CountsTheAffinityMask) {
+  const std::size_t mask = affinity_count();
+  ASSERT_GT(mask, 0u);
+  EXPECT_EQ(hardware_threads(), mask);
+  EXPECT_GE(parallel_width(), 1u);
+
+  // A process pinned to one CPU (as under `taskset -c 0`) reads 1.
+  EXPECT_EXIT(
+      {
+        cpu_set_t mask_now;
+        CPU_ZERO(&mask_now);
+        (void)sched_getaffinity(0, sizeof(mask_now), &mask_now);
+        int first = 0;
+        while (!CPU_ISSET(first, &mask_now)) ++first;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(first, &one);
+        const bool pinned = sched_setaffinity(0, sizeof(one), &one) == 0;
+        std::_Exit(pinned && hardware_threads() == 1 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+// Distinguishes threads without naming std::thread: each thread has its
+// own instance of a thread_local.
+const void* thread_marker() {
+  thread_local const char marker = 0;
+  return &marker;
+}
+
+TEST(ParallelForTest, RunsEachShareOnceWithShareZeroOnTheCaller) {
+  const std::size_t width = parallel_width();
+  for (const std::size_t shares :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, width,
+        3 * width + 1}) {
+    SCOPED_TRACE(testing::Message() << "shares=" << shares);
+    const auto runs = std::make_unique<std::atomic<int>[]>(shares + 1);
+    const void* share0_thread = nullptr;
+    parallel_for(shares, [&](std::size_t s) {
+      runs[s].fetch_add(1);
+      if (s == 0) share0_thread = thread_marker();
+    });
+    for (std::size_t s = 0; s < shares; ++s) {
+      EXPECT_EQ(runs[s].load(), 1) << "share " << s;
+    }
+    if (shares > 0) {
+      EXPECT_EQ(share0_thread, thread_marker());
+    }
+  }
+}
+
+TEST(ParallelForTest, RethrowsTheLowestThrowingShareWithItsType) {
+  constexpr std::size_t kShares = 12;
+  std::atomic<std::size_t> finished{0};
+  const auto body = [&finished](std::size_t s) {
+    if (s == 5) throw std::out_of_range("share 5");
+    ADVTEXT_CHECK_SHAPE(s != 9) << "share 9";
+    Stopwatch clock;
+    while (clock.elapsed_ms() < 2.0) {
+    }
+    finished.fetch_add(1);
+  };
+  try {
+    parallel_for(kShares, body);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::out_of_range& error) {
+    EXPECT_STREQ(error.what(), "share 5");
+  }
+  // Every other share ran to its end before the rethrow.
+  EXPECT_EQ(finished.load(), kShares - 2);
+
+  // Alone, the later share's ShapeError comes back as a ShapeError.
+  const auto shape_only = [](std::size_t s) {
+    ADVTEXT_CHECK_SHAPE(s != 3) << "share 3";
+  };
+  EXPECT_THROW(parallel_for(kShares, shape_only), ShapeError);
+  EXPECT_THROW(parallel_for(1, [](std::size_t) {
+                 throw std::out_of_range("one share");
+               }),
+               std::out_of_range);
+}
+
+// Four callers on a pool share the helpers; each gets exactly its own
+// results.
+TEST(ParallelForTest, ConcurrentCallersFromAPoolEachGetTheirOwnResults) {
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kShares = 16;
+  constexpr std::size_t kRounds = 50;
+  std::vector<std::vector<std::size_t>> results(
+      kCallers, std::vector<std::size_t>(kShares, 0));
+  {
+    ThreadPool pool(kCallers);
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      pool.submit([&results, c] {
+        std::vector<std::size_t>& mine = results[c];
+        for (std::size_t round = 1; round <= kRounds; ++round) {
+          parallel_for(kShares, [&mine, c, round](std::size_t s) {
+            mine[s] += (c + 1) * 1000 + s * round;
+          });
+        }
+      });
+    }
+    pool.wait_idle();
+  }
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    for (std::size_t s = 0; s < kShares; ++s) {
+      EXPECT_EQ(results[c][s],
+                kRounds * (c + 1) * 1000 + s * kRounds * (kRounds + 1) / 2)
+          << "caller " << c << " share " << s;
+    }
+  }
+}
+
+// A child forked after the helpers exist inherits them without their
+// threads; its parallel_for runs every share inline and completes.
+TEST(ParallelForTest, ForkedChildCompletesInline) {
+  const std::size_t shares = 2 * parallel_width() + 1;
+  parallel_for(shares, [](std::size_t) {});  // the helpers exist now
+  EXPECT_EXIT(
+      {
+        std::vector<std::size_t> out(shares, 0);
+        parallel_for(shares, [&out](std::size_t s) { out[s] = s + 1; });
+        bool ok = true;
+        for (std::size_t s = 0; s < shares; ++s) ok = ok && out[s] == s + 1;
+        std::_Exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(FaultInjectorScoping, AtSuffixMatchesExactThenBaseThenWildcard) {

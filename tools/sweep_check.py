@@ -5,11 +5,13 @@
 
 SWEEP_JSON holds one JSON object per line, appended by `bench_table2`
 runs with ADVTEXT_BENCH_JSON set (see README). Every run of one cell (a
-"leg": serial or 4 workers) attacks the same documents with the same
-model, so its `success_rate`, `queries` and `records_crc` must match the
-cell's other leg exactly. Checks, per (bench, config) cell:
+"leg": serial, 4 workers, or serial pinned to one CPU with `taskset -c 0`,
+which scores every recurrent batch in one share) attacks the same
+documents with the same model, so its `success_rate`, `queries` and
+`records_crc` must match the cell's other legs exactly. Checks, per
+(bench, config) cell:
 
-  * the cell has exactly two legs;
+  * the cell has exactly three legs;
   * every leg carries a `records_crc`;
   * all legs agree on `success_rate`, `queries` and `records_crc`.
 
@@ -29,7 +31,7 @@ import sys
 from pathlib import Path
 
 FIELDS = ("success_rate", "queries", "records_crc")
-LEGS = 2  # serial, 4 workers
+LEGS = 3  # serial, 4 workers, serial on one CPU
 
 
 def load_cells(path: Path) -> dict[tuple[str, str], list[dict]]:
@@ -46,7 +48,8 @@ def values(row: dict) -> tuple:
 
 
 def leg_name(row: dict) -> str:
-    return f"threads={row.get('threads')}"
+    return (f"threads={row.get('threads')} "
+            f"hardware_threads={row.get('hardware_threads')}")
 
 
 def main(argv: list[str]) -> int:
