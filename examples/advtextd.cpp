@@ -18,17 +18,13 @@
 // 5 stopped by signal (journaled jobs resume on the next start).
 #include <cstdio>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "examples/model_kinds.h"
 #include "src/data/serialize.h"
 #include "src/data/synthetic.h"
-#include "src/nn/bow_classifier.h"
 #include "src/nn/checkpoint.h"
-#include "src/nn/gru.h"
-#include "src/nn/lstm.h"
-#include "src/nn/wcnn.h"
 #include "src/service/daemon.h"
 #include "src/util/args.h"
 #include "src/util/robust.h"
@@ -69,36 +65,6 @@ int usage() {
       "            (accepted jobs resume on restart with the same "
       "--state-dir)\n");
   return kExitUsage;
-}
-
-std::unique_ptr<TrainableClassifier> build_model(const std::string& kind,
-                                                 const SynthTask& task,
-                                                 const ArgParser& args) {
-  if (kind == "wcnn") {
-    WCnnConfig config;
-    config.embed_dim = task.config.embedding_dim;
-    config.num_filters =
-        static_cast<std::size_t>(args.get_int("filters", 96));
-    return std::make_unique<WCnn>(config, Matrix(task.paragram));
-  }
-  if (kind == "lstm") {
-    LstmConfig config;
-    config.embed_dim = task.config.embedding_dim;
-    config.hidden = static_cast<std::size_t>(args.get_int("hidden", 24));
-    return std::make_unique<LstmClassifier>(config, Matrix(task.paragram));
-  }
-  if (kind == "gru") {
-    GruConfig config;
-    config.embed_dim = task.config.embedding_dim;
-    config.hidden = static_cast<std::size_t>(args.get_int("hidden", 24));
-    return std::make_unique<GruClassifier>(config, Matrix(task.paragram));
-  }
-  if (kind == "bow") {
-    BowClassifierConfig config;
-    config.vocab_size = static_cast<std::size_t>(task.vocab.size());
-    return std::make_unique<BowClassifier>(config);
-  }
-  throw std::invalid_argument("unknown --model kind: " + kind);
 }
 
 int run(const ArgParser& args) {

@@ -14,28 +14,28 @@
 // take its input pre-activation from the rebase. A swap is a row that
 // differs from the base only at its position, so swaps and tokens rows run
 // the same loop, and the per-candidate hooks are one-row calls of it. Rows
-// of another length fall back to predict_proba.
+// of another length fall back to predict_proba. The classifier's head
+// scores every row's final hidden state in one batch.
 //
 // Every piece is one ascending-k dot per output element plus the same
-// elementwise passes the model's scalar step() runs, so each row equals
+// elementwise passes the cell's scalar step() runs, so each row equals
 // predict_proba bit for bit at any batch width and any share count.
 //
-// A Cell adapts one model family:
-//   using Model;                  the classifier
-//   static constexpr kStates;     state vectors per row, h first
-//   static constexpr kGates;      input pre-activation width / hidden
+// Besides what RecurrentClassifier asks of it (recurrent_classifier.h), a
+// Cell provides the batched members:
 //   struct Scratch;               one share's per-step scratch
-//   explicit Cell(const Model&);
-//   void pack();                  packs the gate weights (at every rebase)
+//   explicit Cell(const GateWeights&);
+//   void pack();                  packs the recurrent weights (at every
+//                                 rebase)
 //   void reserve(scratch, m);     sizes scratch for m rows
-//   void input_preact(x, m, zx);  zx = X * Wx^T for m stacked inputs
 //   void advance(zx, m, state, scratch);
 //                                 one step for m rows: zx[j] is row j's
-//                                 input pre-activation, state[s] points at
-//                                 m stacked rows of state s (in place)
-// input_preact and advance are const: shares run them at once on one Cell.
-// Instantiate the evaluator only from the model's own (-O3) translation
-// unit.
+//                                 input pre-activation (its embedding times
+//                                 the stacked Wx), state[s] points at m
+//                                 stacked rows of state s (in place)
+// advance is const: shares run it at once on one Cell.
+// Instantiate the evaluator only from the cell's own (-O3) translation
+// unit, through RecurrentClassifier::make_swap_evaluator.
 #pragma once
 
 #include <algorithm>
@@ -43,6 +43,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "src/nn/recurrent_classifier.h"
 #include "src/nn/text_classifier.h"
 #include "src/tensor/tensor.h"
 #include "src/util/check.h"
@@ -59,11 +60,11 @@ inline constexpr std::size_t kMinRowsPerShare = 4;
 template <typename Cell>
 class RecurrentSwapEvaluator final : public SwapEvaluator {
  public:
-  using Model = typename Cell::Model;
+  using Model = RecurrentClassifier<Cell>;
 
   RecurrentSwapEvaluator(const Model& model, const TokenSeq& base)
       : model_(model),
-        cell_(model),
+        cell_(model.gates()),
         hidden_(model.config().hidden),
         dim_(model.config().embed_dim),
         zx_width_(Cell::kGates * model.config().hidden),
@@ -78,6 +79,8 @@ class RecurrentSwapEvaluator final : public SwapEvaluator {
   void do_rebase(const TokenSeq& tokens) override {
     ADVTEXT_CHECK_SHAPE(!tokens.empty())
         << "RecurrentSwapEvaluator: empty base";
+    const GateWeights& gates = model_.gates();
+    gemm_pack_b(gates.wx.data(), gates.wx.rows(), gates.wx.cols(), wx_);
     cell_.pack();
     const std::size_t n = tokens.size();
     // prefix_[s] row t = state s after consuming tokens[0..t-1]. Only the
@@ -86,7 +89,7 @@ class RecurrentSwapEvaluator final : public SwapEvaluator {
     for (Matrix& state : prefix_) state = Matrix(n + 1, hidden_);
     const Matrix emb = model_.embedding().lookup(tokens);
     base_zx_ = Matrix(n, zx_width_);
-    cell_.input_preact(emb.data(), n, base_zx_.data());
+    gemm_nt_packed(emb.data(), n, wx_, base_zx_.data());
     typename Cell::Scratch& scratch = shares_[0].cell;
     cell_.reserve(scratch, 1);
     std::array<float*, Cell::kStates> next;
@@ -195,7 +198,7 @@ class RecurrentSwapEvaluator final : public SwapEvaluator {
                  [this, shares](std::size_t s) { score_share(s, shares); });
     const std::size_t classes = model_.num_classes();
     proba_.resize(count * classes);
-    model_.proba_from_hidden_batch(h_.data(), count, proba_.data());
+    model_.head().proba_batch(h_.data(), count, proba_.data());
     for (std::size_t j = 0; j < count; ++j) {
       const float* src = proba_.data() + j * classes;
       std::copy(src, src + classes, out.row(batch_[j].out));
@@ -240,7 +243,7 @@ class RecurrentSwapEvaluator final : public SwapEvaluator {
         std::copy(x, x + dim_, share.x.row(own));
         share.zx_row[j] = share.zx.row(own++);
       }
-      if (own > 0) cell_.input_preact(share.x.data(), own, share.zx.data());
+      if (own > 0) gemm_nt_packed(share.x.data(), own, wx_, share.zx.data());
       cell_.advance(share.zx_row.data(), active, state.data(), share.cell);
     }
     for (std::size_t j = 0; j < count; ++j) {
@@ -250,6 +253,7 @@ class RecurrentSwapEvaluator final : public SwapEvaluator {
   }
 
   const Model& model_;
+  PackedB wx_;  ///< the stacked input weights, packed at every rebase
   Cell cell_;
   const std::size_t hidden_;
   const std::size_t dim_;

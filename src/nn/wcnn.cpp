@@ -6,8 +6,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/tensor/ops.h"
-
 namespace advtext {
 
 WCnn::WCnn(const WCnnConfig& config, Matrix pretrained_embeddings,
@@ -18,10 +16,7 @@ WCnn::WCnn(const WCnnConfig& config, Matrix pretrained_embeddings,
       conv_w_grad_(config.num_filters, config.kernel * config.embed_dim),
       conv_b_(config.num_filters, 0.0f),
       conv_b_grad_(config.num_filters, 0.0f),
-      out_w_(config.num_classes, config.num_filters),
-      out_w_grad_(config.num_classes, config.num_filters),
-      out_b_(config.num_classes, 0.0f),
-      out_b_grad_(config.num_classes, 0.0f),
+      head_(config.num_filters, config.num_classes),
       rng_(config.seed) {
   ADVTEXT_CHECK_SHAPE(embedding_.dim() == config_.embed_dim) << "WCnn: embedding dim mismatch";
   embedding_.set_frozen(freeze_embedding);
@@ -29,10 +24,7 @@ WCnn::WCnn(const WCnnConfig& config, Matrix pretrained_embeddings,
       std::sqrt(6.0 / static_cast<double>(config.kernel * config.embed_dim +
                                           config.num_filters)));
   conv_w_.fill_uniform(rng_, conv_bound);
-  const float out_bound = static_cast<float>(
-      std::sqrt(6.0 / static_cast<double>(config.num_filters +
-                                          config.num_classes)));
-  out_w_.fill_uniform(rng_, out_bound);
+  head_.init(rng_);
 }
 
 TokenSeq WCnn::padded(const TokenSeq& tokens) const {
@@ -81,12 +73,6 @@ Vector WCnn::max_pool(const Matrix& preact,
   return pooled;
 }
 
-Vector WCnn::output_logits(const Vector& pooled) const {
-  Vector logits = matvec(out_w_, pooled);
-  for (std::size_t c = 0; c < logits.size(); ++c) logits[c] += out_b_[c];
-  return logits;
-}
-
 void WCnn::apply_mc_dropout(Vector& pooled) const {
   apply_mc_dropout(pooled.data(), pooled.size());
 }
@@ -120,23 +106,12 @@ void WCnn::window_preact_batch(const float* windows, std::size_t m,
   }
 }
 
-void WCnn::proba_from_pooled_batch(const float* pooled, std::size_t m,
-                                   float* proba) const {
-  const std::size_t classes = config_.num_classes;
-  gemm_nt(pooled, m, out_w_.data(), classes, config_.num_filters, proba);
-  for (std::size_t i = 0; i < m; ++i) {
-    float* row = proba + i * classes;
-    for (std::size_t c = 0; c < classes; ++c) row[c] += out_b_[c];
-    softmax_inplace(row, classes);
-  }
-}
-
 Vector WCnn::predict_proba(const TokenSeq& tokens) const {
   const Matrix embedded = embedding_.lookup(padded(tokens));
   const Matrix preact = conv_preact(embedded);
   Vector pooled = max_pool(preact);
   apply_mc_dropout(pooled);
-  return softmax(output_logits(pooled));
+  return head_.proba(pooled);
 }
 
 Matrix WCnn::input_gradient(const TokenSeq& tokens, std::size_t target,
@@ -150,25 +125,12 @@ Matrix WCnn::input_gradient(const TokenSeq& tokens, std::size_t target,
   // Inference MC dropout applies to gradient queries too: the attacker
   // differentiates the same stochastic model it evaluates (§6.4), so the
   // mask gates both the forward value and the backward path.
-  std::vector<float> mc_mask(pooled.size(), 1.0f);
-  if (config_.mc_dropout > 0.0f) {
-    const float scale = 1.0f / (1.0f - config_.mc_dropout);
-    for (std::size_t f = 0; f < pooled.size(); ++f) {
-      mc_mask[f] = rng_.bernoulli(config_.mc_dropout) ? 0.0f : scale;
-      pooled[f] *= mc_mask[f];
-    }
-  }
-  const Vector logits = output_logits(pooled);
-  const Vector p = softmax(logits);
+  const std::vector<float> mc_mask =
+      dropout_mask(rng_, config_.mc_dropout, pooled.size());
+  for (std::size_t f = 0; f < pooled.size(); ++f) pooled[f] *= mc_mask[f];
+  const Vector p = head_.proba(pooled);
   if (proba != nullptr) *proba = p;
-
-  // d p_target / d logits = p_t * (onehot(t) - p)
-  Vector dlogits(p.size());
-  for (std::size_t c = 0; c < p.size(); ++c) {
-    dlogits[c] = p[target] * ((c == target ? 1.0f : 0.0f) - p[c]);
-  }
-  // d pooled = out_w^T dlogits (through the dropout mask)
-  Vector dpooled = matvec_transposed(out_w_, dlogits);
+  Vector dpooled = head_.target_grad(p, target);
   for (std::size_t f = 0; f < dpooled.size(); ++f) dpooled[f] *= mc_mask[f];
 
   Matrix grad(tokens.size(), config_.embed_dim);
@@ -200,27 +162,12 @@ float WCnn::forward_backward(const TokenSeq& tokens, std::size_t label) {
   std::vector<std::size_t> argmax;
   Vector pooled = max_pool(preact, &argmax);
 
-  // Training dropout on the pooled layer (inverted scaling).
-  std::vector<float> mask(pooled.size(), 1.0f);
-  const float p = config_.train_dropout;
-  if (p > 0.0f) {
-    const float scale = 1.0f / (1.0f - p);
-    for (std::size_t f = 0; f < pooled.size(); ++f) {
-      mask[f] = rng_.bernoulli(p) ? 0.0f : scale;
-      pooled[f] *= mask[f];
-    }
-  }
-
-  const Vector logits = output_logits(pooled);
-  const float loss = cross_entropy(logits, label);
-  const Vector dlogits = cross_entropy_grad(logits, label);
-
-  // Output layer grads.
-  add_outer(out_w_grad_, 1.0f, dlogits, pooled);
-  for (std::size_t c = 0; c < dlogits.size(); ++c) {
-    out_b_grad_[c] += dlogits[c];
-  }
-  Vector dpooled = matvec_transposed(out_w_, dlogits);
+  // Training dropout on the pooled layer.
+  const std::vector<float> mask =
+      dropout_mask(rng_, config_.train_dropout, pooled.size());
+  for (std::size_t f = 0; f < pooled.size(); ++f) pooled[f] *= mask[f];
+  Vector dpooled;
+  const float loss = head_.backward(pooled, label, dpooled);
   for (std::size_t f = 0; f < dpooled.size(); ++f) dpooled[f] *= mask[f];
 
   // Conv grads through the max-pool winners.
@@ -255,9 +202,8 @@ std::vector<ParamRef> WCnn::params() {
   std::vector<ParamRef> refs = {
       {conv_w_.data(), conv_w_grad_.data(), conv_w_.size()},
       {conv_b_.data(), conv_b_grad_.data(), conv_b_.size()},
-      {out_w_.data(), out_w_grad_.data(), out_w_.size()},
-      {out_b_.data(), out_b_grad_.data(), out_b_.size()},
   };
+  head_.append_params(refs);
   if (!embedding_.frozen()) {
     refs.push_back({embedding_.mutable_table().data(),
                     embedding_.grad().data(),
@@ -269,8 +215,7 @@ std::vector<ParamRef> WCnn::params() {
 void WCnn::zero_grad() {
   conv_w_grad_.fill(0.0f);
   std::fill(conv_b_grad_.begin(), conv_b_grad_.end(), 0.0f);
-  out_w_grad_.fill(0.0f);
-  std::fill(out_b_grad_.begin(), out_b_grad_.end(), 0.0f);
+  head_.zero_grad();
   embedding_.zero_grad();
 }
 
@@ -494,7 +439,7 @@ class WCnnSwapEvaluatorImpl : public SwapEvaluator {
     }
     const std::size_t classes = model_.num_classes();
     proba_.resize(count * classes);
-    model_.proba_from_pooled_batch(pooled_.data(), count, proba_.data());
+    model_.head().proba_batch(pooled_.data(), count, proba_.data());
     for (std::size_t m = 0; m < count; ++m) {
       const float* src = proba_.data() + m * classes;
       std::copy(src, src + classes, out.row(rows[m]));

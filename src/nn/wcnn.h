@@ -1,6 +1,7 @@
 // Word-level convolutional text classifier (Kim 2014), as attacked in the
 // paper: embedding -> temporal convolution (kernel 3) -> ReLU ->
-// max-over-time pooling -> dropout -> fully connected softmax output.
+// max-over-time pooling -> dropout -> fully connected softmax output
+// (SoftmaxHead, shared with the recurrent classifiers).
 //
 // Implements full manual backprop (for training and for the input-embedding
 // gradients the attacks need) and an incremental SwapEvaluator: a scored
@@ -17,6 +18,7 @@
 #include <memory>
 
 #include "src/nn/embedding.h"
+#include "src/nn/softmax_head.h"
 #include "src/nn/text_classifier.h"
 #include "src/util/rng.h"
 
@@ -56,20 +58,17 @@ class WCnn final : public TrainableClassifier {
 
   const WCnnConfig& config() const { return config_; }
   const EmbeddingLayer& embedding() const { return embedding_; }
+  const SoftmaxHead& head() const { return head_; }
 
   /// Toggles inference-time MC dropout (ablation bench).
   void set_mc_dropout(float rate) { config_.mc_dropout = rate; }
 
   // Dropout RNG round-trip for bitwise-identical training resume.
   std::vector<std::uint64_t> stochastic_state() const override {
-    const RngState s = rng_.state();
-    return {s.begin(), s.end()};
+    return state_words(rng_);
   }
   void set_stochastic_state(const std::vector<std::uint64_t>& words) override {
-    RngState s{};
-    for (std::size_t i = 0; i < s.size() && i < words.size(); ++i)
-      s[i] = words[i];
-    rng_.set_state(s);
+    set_state_words(rng_, words);
   }
 
   // -- Internal forward pieces, exposed for the incremental SwapEvaluator --
@@ -84,9 +83,6 @@ class WCnn final : public TrainableClassifier {
   /// pooled[f] = max over windows of relu(preact). argmax optionally kept.
   Vector max_pool(const Matrix& preact,
                   std::vector<std::size_t>* argmax = nullptr) const;
-
-  /// logits from pooled features (after optional dropout mask).
-  Vector output_logits(const Vector& pooled) const;
 
   /// Applies inference MC dropout (inverted scaling) if configured.
   void apply_mc_dropout(Vector& pooled) const;
@@ -107,11 +103,6 @@ class WCnn final : public TrainableClassifier {
   void window_preact_batch(const float* windows, std::size_t m, float* out,
                            const PackedB* filters = nullptr) const;
 
-  /// Batched output head: probabilities for m pooled rows (m x F ->
-  /// m x C); row i equals softmax(output_logits(pooled_i)).
-  void proba_from_pooled_batch(const float* pooled, std::size_t m,
-                               float* proba) const;
-
  private:
   WCnnConfig config_;
   EmbeddingLayer embedding_;
@@ -120,10 +111,7 @@ class WCnn final : public TrainableClassifier {
   Matrix conv_w_grad_;
   Vector conv_b_;       // F
   Vector conv_b_grad_;
-  Matrix out_w_;        // C x F
-  Matrix out_w_grad_;
-  Vector out_b_;        // C
-  Vector out_b_grad_;
+  SoftmaxHead head_;    // C x F
 
   mutable Rng rng_;     // dropout sampling (training + MC inference)
 };

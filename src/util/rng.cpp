@@ -115,4 +115,17 @@ void Rng::set_state(const RngState& state) {
   has_cached_normal_ = state[5] != 0;
 }
 
+std::vector<std::uint64_t> state_words(const Rng& rng) {
+  const RngState s = rng.state();
+  return {s.begin(), s.end()};
+}
+
+void set_state_words(Rng& rng, const std::vector<std::uint64_t>& words) {
+  RngState s{};
+  for (std::size_t i = 0; i < s.size() && i < words.size(); ++i) {
+    s[i] = words[i];
+  }
+  rng.set_state(s);
+}
+
 }  // namespace advtext

@@ -97,4 +97,10 @@ class Rng {
   bool has_cached_normal_ = false;
 };
 
+/// The generator's state as the raw words a model's stochastic_state()
+/// hands to training snapshots, and back: set_state_words restores what
+/// state_words captured (missing trailing words read as zero).
+std::vector<std::uint64_t> state_words(const Rng& rng);
+void set_state_words(Rng& rng, const std::vector<std::uint64_t>& words);
+
 }  // namespace advtext

@@ -20,9 +20,10 @@
 //     (or friends) anywhere outside src/util/sync.*; all concurrency flows
 //     through these wrappers so every lock is visible to the analysis.
 //   * TaskQueue / ThreadPool — a bounded MPMC queue and a fixed-size worker
-//     pool, the only place worker threads are spawned. Shared state is
-//     ADVTEXT_GUARDED_BY its mutex, so the analysis proves the lock
-//     discipline of the pool itself.
+//     pool. In src/, threads are spawned only in sync.cpp: the pool's
+//     workers, the Watchdog's monitor and parallel_for's helpers. Shared
+//     state is ADVTEXT_GUARDED_BY its mutex, so the analysis proves the
+//     lock discipline of the pool itself.
 //
 //   * Heartbeat / Watchdog — per-worker liveness signals and the monitor
 //     that turns "a worker stopped beating while busy" into a typed stall
@@ -310,10 +311,9 @@ class Watchdog {
   std::thread monitor_;
 };
 
-/// Fixed-size worker pool over a bounded TaskQueue — the only place in the
-/// tree that spawns threads. Tasks must not throw (an escaped exception
-/// from a task would terminate the process); wrap fallible work and record
-/// its failure into state you own.
+/// Fixed-size worker pool over a bounded TaskQueue. Tasks must not throw
+/// (an escaped exception from a task would terminate the process); wrap
+/// fallible work and record its failure into state you own.
 class ThreadPool {
  public:
   /// Spawns `threads` workers (>= 1). `queue_capacity` bounds the backlog

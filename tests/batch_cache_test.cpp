@@ -510,6 +510,43 @@ TEST(RecurrentShares, TwoEvaluatorsScoringAtOnceMatchTheirSoloRows) {
   }
 }
 
+// A hidden width past 256 units: the rebase, a swap batch and a tokens
+// batch of an LSTM and a GRU equal predict_proba exactly. Small (a short
+// base, three rows), since this suite also runs under TSan.
+TEST(RecurrentShares, WideHiddenMatchesPredictProba) {
+  RecurrentConfig config;
+  config.embed_dim = task().config.embedding_dim;
+  config.hidden = 300;
+  const LstmClassifier lstm(config, Matrix(task().paragram));
+  const GruClassifier gru(config, Matrix(task().paragram));
+  for (const TextClassifier* model :
+       {static_cast<const TextClassifier*>(&lstm),
+        static_cast<const TextClassifier*>(&gru)}) {
+    SCOPED_TRACE(model == &lstm ? "lstm" : "gru");
+    TokenSeq base = sample_tokens(6, 59);
+    auto evaluator = model->make_swap_evaluator(base);
+    EXPECT_EQ(evaluator->eval_tokens(base), model->predict_proba(base));
+    const std::vector<SwapCandidate> swaps = {{0, 7}, {3, 9}, {5, 11}};
+    Matrix scores;
+    ASSERT_EQ(evaluator->eval_swap_batch(swaps, scores).evaluated, 3u);
+    std::vector<TokenSeq> docs;
+    for (std::size_t i = 0; i < swaps.size(); ++i) {
+      TokenSeq swapped = base;
+      swapped[swaps[i].pos] = swaps[i].word;
+      expect_rows_equal(scores, i, model->predict_proba(swapped), "swap");
+      swapped[1] = 4;
+      docs.push_back(swapped);
+    }
+    ASSERT_EQ(evaluator->eval_tokens_batch(docs, scores).evaluated, 3u);
+    for (std::size_t i = 0; i < docs.size(); ++i) {
+      expect_rows_equal(scores, i, model->predict_proba(docs[i]), "tokens");
+    }
+    base[2] = base[2] == 6 ? 8 : 6;
+    evaluator->rebase(base);
+    EXPECT_EQ(evaluator->eval_tokens(base), model->predict_proba(base));
+  }
+}
+
 // ---- attack/pipeline level -------------------------------------------------
 
 class BatchPipelineFixture : public ::testing::Test {

@@ -1,5 +1,6 @@
-// Tests for the extension modules: GRU classifier (gradients, swap
-// evaluator, training), bag-of-words classifier (gradients, Proposition 2
+// Tests for the extension modules: GRU classifier training (its forward,
+// gradients and swap evaluator run in nn_test's typed suite with the
+// LSTM's), bag-of-words classifier (gradients, Proposition 2
 // exactness for linear models), character-flip candidates (Remark 2), and
 // the lazy objective-guided greedy attack.
 #include <gtest/gtest.h>
@@ -22,107 +23,7 @@
 namespace advtext {
 namespace {
 
-Matrix dense_embeddings(std::size_t vocab, std::size_t dim,
-                        std::uint64_t seed) {
-  Rng rng(seed);
-  Matrix m(vocab, dim);
-  m.fill_normal(rng, 0.6f);
-  return m;
-}
-
 // ---- GRU --------------------------------------------------------------------
-
-TEST(Gru, PredictProbaIsDistribution) {
-  GruConfig config;
-  config.embed_dim = 4;
-  config.hidden = 5;
-  GruClassifier model(config, dense_embeddings(12, 4, 1));
-  const Vector p = model.predict_proba({2, 5, 8});
-  EXPECT_NEAR(p[0] + p[1], 1.0, 1e-5);
-  EXPECT_THROW(model.predict_proba({}), std::invalid_argument);
-}
-
-TEST(Gru, InputGradientMatchesFiniteDifference) {
-  GruConfig config;
-  config.embed_dim = 4;
-  config.hidden = 5;
-  config.train_dropout = 0.0f;
-  GruClassifier model(config, dense_embeddings(20, 4, 3));
-  const TokenSeq tokens = {2, 5, 8, 11, 14};
-  for (std::size_t target : {0u, 1u}) {
-    const Matrix grad = model.input_gradient(tokens, target);
-    auto& table = const_cast<Matrix&>(model.embedding().table());
-    for (std::size_t pos = 0; pos < tokens.size(); ++pos) {
-      for (std::size_t d = 0; d < config.embed_dim; d += 2) {
-        const std::size_t row = static_cast<std::size_t>(tokens[pos]);
-        const float saved = table(row, d);
-        const double eps = 1e-3;
-        table(row, d) = static_cast<float>(saved + eps);
-        const double plus = model.predict_proba(tokens)[target];
-        table(row, d) = static_cast<float>(saved - eps);
-        const double minus = model.predict_proba(tokens)[target];
-        table(row, d) = saved;
-        EXPECT_NEAR(grad(pos, d), (plus - minus) / (2.0 * eps), 5e-3)
-            << "target " << target << " pos " << pos << " dim " << d;
-      }
-    }
-  }
-}
-
-TEST(Gru, ParameterGradientsMatchFiniteDifference) {
-  GruConfig config;
-  config.embed_dim = 3;
-  config.hidden = 4;
-  config.train_dropout = 0.0f;
-  GruClassifier model(config, dense_embeddings(16, 3, 5),
-                      /*freeze_embedding=*/false);
-  const TokenSeq tokens = {2, 5, 8, 11};
-  const std::size_t label = 1;
-  model.zero_grad();
-  model.forward_backward(tokens, label);
-  const auto params = model.params();
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    const ParamRef& ref = params[p];
-    const std::size_t stride = std::max<std::size_t>(1, ref.size / 6);
-    for (std::size_t i = 0; i < ref.size; i += stride) {
-      const float saved = ref.value[i];
-      const double eps = 1e-3;
-      ref.value[i] = static_cast<float>(saved + eps);
-      model.zero_grad();
-      const double plus = model.forward_backward(tokens, label);
-      ref.value[i] = static_cast<float>(saved - eps);
-      model.zero_grad();
-      const double minus = model.forward_backward(tokens, label);
-      ref.value[i] = saved;
-      model.zero_grad();
-      model.forward_backward(tokens, label);
-      EXPECT_NEAR(model.params()[p].grad[i], (plus - minus) / (2.0 * eps),
-                  5e-3)
-          << "param " << p << " index " << i;
-    }
-  }
-}
-
-TEST(Gru, SwapEvaluatorMatchesFullForward) {
-  GruConfig config;
-  config.embed_dim = 4;
-  config.hidden = 5;
-  GruClassifier model(config, dense_embeddings(20, 4, 7));
-  TokenSeq base = {2, 7, 12, 17, 3};
-  auto evaluator = model.make_swap_evaluator(base);
-  for (std::size_t pos = 0; pos < base.size(); ++pos) {
-    TokenSeq swapped = base;
-    swapped[pos] = 15;
-    EXPECT_EQ(evaluator->eval_swap(pos, 15), model.predict_proba(swapped))
-        << "pos " << pos;
-  }
-  // Multi-position and identical-tokens paths.
-  TokenSeq multi = base;
-  multi[1] = 9;
-  multi[4] = 11;
-  EXPECT_EQ(evaluator->eval_tokens(multi), model.predict_proba(multi));
-  EXPECT_EQ(evaluator->eval_tokens(base), model.predict_proba(base));
-}
 
 TEST(Gru, LearnsSeparableTask) {
   const SynthTask task = make_yelp(91);

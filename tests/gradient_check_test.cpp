@@ -1,41 +1,19 @@
-// Finite-difference gradient checks: the attacks are driven by
-// input-embedding gradients, and training by parameter gradients — both
-// must match numerical derivatives.
+// Finite-difference gradient checks of the WCNN (nn_test's typed suite
+// checks the LSTM and GRU), and the probabilities the gradient calls
+// return.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <memory>
+#include <vector>
 
+#include "src/nn/bow_classifier.h"
+#include "src/nn/gru.h"
 #include "src/nn/lstm.h"
 #include "src/nn/wcnn.h"
-#include "src/tensor/ops.h"
+#include "tests/grad_check.h"
 
 namespace advtext {
 namespace {
-
-Matrix dense_embeddings(std::size_t vocab, std::size_t dim,
-                        std::uint64_t seed) {
-  Rng rng(seed);
-  Matrix m(vocab, dim);
-  m.fill_normal(rng, 0.6f);
-  return m;
-}
-
-// Numerically differentiates p_target w.r.t. one embedding coordinate by
-// perturbing the (shared) embedding table entry of a token that occurs
-// exactly once in the sequence.
-template <typename Model>
-double fd_input_grad(Model& model, Matrix& table, const TokenSeq& tokens,
-                     std::size_t target, WordId word, std::size_t dim_index,
-                     double eps) {
-  const std::size_t row = static_cast<std::size_t>(word);
-  const float saved = table(row, dim_index);
-  table(row, dim_index) = static_cast<float>(saved + eps);
-  const double plus = model.predict_proba(tokens)[target];
-  table(row, dim_index) = static_cast<float>(saved - eps);
-  const double minus = model.predict_proba(tokens)[target];
-  table(row, dim_index) = saved;
-  return (plus - minus) / (2.0 * eps);
-}
 
 TEST(GradientCheck, WCnnInputGradient) {
   WCnnConfig config;
@@ -49,27 +27,6 @@ TEST(GradientCheck, WCnnInputGradient) {
     const Matrix grad = model.input_gradient(tokens, target);
     auto& table = const_cast<Matrix&>(model.embedding().table());
     for (std::size_t pos = 0; pos < tokens.size(); pos += 2) {
-      for (std::size_t d = 0; d < config.embed_dim; d += 2) {
-        const double fd = fd_input_grad(model, table, tokens, target,
-                                        tokens[pos], d, 1e-3);
-        EXPECT_NEAR(grad(pos, d), fd, 5e-3)
-            << "target " << target << " pos " << pos << " dim " << d;
-      }
-    }
-  }
-}
-
-TEST(GradientCheck, LstmInputGradient) {
-  LstmConfig config;
-  config.embed_dim = 4;
-  config.hidden = 6;
-  config.train_dropout = 0.0f;
-  LstmClassifier model(config, dense_embeddings(24, 4, 37));
-  const TokenSeq tokens = {2, 5, 8, 11, 14, 17};
-  for (std::size_t target : {0u, 1u}) {
-    const Matrix grad = model.input_gradient(tokens, target);
-    auto& table = const_cast<Matrix&>(model.embedding().table());
-    for (std::size_t pos = 0; pos < tokens.size(); ++pos) {
       for (std::size_t d = 0; d < config.embed_dim; d += 2) {
         const double fd = fd_input_grad(model, table, tokens, target,
                                         tokens[pos], d, 1e-3);
@@ -97,36 +54,6 @@ TEST(GradientCheck, InputGradientRowsSumToProbGradient) {
   }
 }
 
-// Parameter-gradient check via loss finite differences on every parameter
-// tensor of both models.
-template <typename Model>
-void check_param_gradients(Model& model, const TokenSeq& tokens,
-                           std::size_t label, double tol) {
-  model.zero_grad();
-  model.forward_backward(tokens, label);
-  const auto params = model.params();
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    const ParamRef& ref = params[p];
-    const std::size_t stride = std::max<std::size_t>(1, ref.size / 7);
-    for (std::size_t i = 0; i < ref.size; i += stride) {
-      const float saved = ref.value[i];
-      const double eps = 1e-3;
-      ref.value[i] = static_cast<float>(saved + eps);
-      model.zero_grad();
-      const double plus = model.forward_backward(tokens, label);
-      ref.value[i] = static_cast<float>(saved - eps);
-      model.zero_grad();
-      const double minus = model.forward_backward(tokens, label);
-      ref.value[i] = saved;
-      const double fd = (plus - minus) / (2.0 * eps);
-      model.zero_grad();
-      model.forward_backward(tokens, label);
-      EXPECT_NEAR(model.params()[p].grad[i], fd, tol)
-          << "param " << p << " index " << i;
-    }
-  }
-}
-
 TEST(GradientCheck, WCnnParameterGradients) {
   WCnnConfig config;
   config.embed_dim = 4;
@@ -136,14 +63,36 @@ TEST(GradientCheck, WCnnParameterGradients) {
   check_param_gradients(model, {2, 5, 8, 11, 14}, 1, 5e-3);
 }
 
-TEST(GradientCheck, LstmParameterGradients) {
-  LstmConfig config;
-  config.embed_dim = 3;
-  config.hidden = 4;
-  config.train_dropout = 0.0f;
-  LstmClassifier model(config, dense_embeddings(16, 3, 47),
-                       /*freeze_embedding=*/false);
-  check_param_gradients(model, {2, 5, 8, 11}, 0, 5e-3);
+// Alg. 3 takes the probabilities a gradient call returns as the current
+// document's score, so they must be predict_proba's bits: for every
+// family, with MC dropout off.
+TEST(GradientCheck, InputGradientProbaIsPredictProba) {
+  const std::size_t dim = 4;
+  const Matrix table = dense_embeddings(20, dim, 53);
+  std::vector<std::unique_ptr<TextClassifier>> models;
+  WCnnConfig wcnn;
+  wcnn.embed_dim = dim;
+  wcnn.num_filters = 6;
+  models.push_back(std::make_unique<WCnn>(wcnn, Matrix(table)));
+  RecurrentConfig recurrent;
+  recurrent.embed_dim = dim;
+  recurrent.hidden = 5;
+  models.push_back(std::make_unique<LstmClassifier>(recurrent, Matrix(table)));
+  models.push_back(std::make_unique<GruClassifier>(recurrent, Matrix(table)));
+  BowClassifierConfig bow;
+  bow.vocab_size = table.rows();
+  models.push_back(std::make_unique<BowClassifier>(bow));
+  for (const TokenSeq& tokens : {TokenSeq{3}, TokenSeq{2, 5, 8, 11, 14, 5}}) {
+    for (const auto& model : models) {
+      for (std::size_t target : {0u, 1u}) {
+        Vector proba;
+        (void)model->input_gradient(tokens, target, &proba);
+        EXPECT_EQ(proba, model->predict_proba(tokens))
+            << "model " << (&model - models.data()) << " length "
+            << tokens.size() << " target " << target;
+      }
+    }
+  }
 }
 
 }  // namespace

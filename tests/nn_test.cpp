@@ -1,16 +1,22 @@
-// Tests for the neural-network substrate: embedding layers, WCNN and LSTM
-// forward behaviour, incremental swap evaluators vs full forwards, training
-// convergence on separable data, and MC dropout.
+// Tests for the neural-network substrate: embedding layers, WCNN forward
+// behaviour, the recurrent classifiers (one typed suite over LSTM and GRU:
+// forward, gradients against finite differences), incremental swap
+// evaluators vs full forwards, training convergence on separable data, and
+// MC dropout.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <type_traits>
 
 #include "src/data/synthetic.h"
 #include "src/eval/metrics.h"
 #include "src/nn/embedding.h"
+#include "src/nn/gru.h"
 #include "src/nn/lstm.h"
 #include "src/nn/trainer.h"
 #include "src/nn/wcnn.h"
+#include "tests/grad_check.h"
 
 namespace advtext {
 namespace {
@@ -150,22 +156,67 @@ TEST(WCnn, SwapEvaluatorRebaseTracksNewDocument) {
   EXPECT_EQ(evaluator->eval_swap(0, 9), model.predict_proba(swapped));
 }
 
-TEST(Lstm, PredictProbaIsDistribution) {
-  LstmConfig config;
-  config.embed_dim = 4;
-  config.hidden = 6;
-  LstmClassifier model(config, small_embeddings(10, 4, 9));
+// ---- Recurrent classifiers (LSTM, GRU) -------------------------------------
+
+template <typename Model>
+class RecurrentClassifierTest : public ::testing::Test {};
+
+struct RecurrentName {
+  template <typename Model>
+  static std::string GetName(int) {
+    return std::is_same_v<Model, LstmClassifier> ? "Lstm" : "Gru";
+  }
+};
+
+using RecurrentModels = ::testing::Types<LstmClassifier, GruClassifier>;
+TYPED_TEST_SUITE(RecurrentClassifierTest, RecurrentModels, RecurrentName);
+
+RecurrentConfig recurrent_config(std::size_t embed_dim, std::size_t hidden) {
+  RecurrentConfig config;
+  config.embed_dim = embed_dim;
+  config.hidden = hidden;
+  return config;
+}
+
+TYPED_TEST(RecurrentClassifierTest, PredictProbaIsDistribution) {
+  TypeParam model(recurrent_config(4, 6), small_embeddings(10, 4, 9));
   const Vector p = model.predict_proba({2, 3, 4});
   EXPECT_NEAR(p[0] + p[1], 1.0, 1e-5);
   EXPECT_THROW(model.predict_proba({}), std::invalid_argument);
 }
 
-TEST(Lstm, SwapEvaluatorMatchesFullForward) {
-  LstmConfig config;
-  config.embed_dim = 4;
-  config.hidden = 5;
-  LstmClassifier model(config, small_embeddings(20, 4, 10));
-  TokenSeq base = {2, 7, 12, 17, 3, 9};
+TYPED_TEST(RecurrentClassifierTest, InputGradientMatchesFiniteDifference) {
+  RecurrentConfig config = recurrent_config(4, 6);
+  config.train_dropout = 0.0f;
+  TypeParam model(config, dense_embeddings(24, 4, 37));
+  const TokenSeq tokens = {2, 5, 8, 11, 14, 17};
+  for (std::size_t target : {0u, 1u}) {
+    const Matrix grad = model.input_gradient(tokens, target);
+    auto& table = const_cast<Matrix&>(model.embedding().table());
+    for (std::size_t pos = 0; pos < tokens.size(); ++pos) {
+      for (std::size_t d = 0; d < config.embed_dim; d += 2) {
+        const double fd = fd_input_grad(model, table, tokens, target,
+                                        tokens[pos], d, 1e-3);
+        EXPECT_NEAR(grad(pos, d), fd, 5e-3)
+            << "target " << target << " pos " << pos << " dim " << d;
+      }
+    }
+  }
+}
+
+TYPED_TEST(RecurrentClassifierTest, ParameterGradientsMatchFiniteDifference) {
+  RecurrentConfig config = recurrent_config(3, 4);
+  config.train_dropout = 0.0f;  // dropout off: loss must be deterministic
+  TypeParam model(config, dense_embeddings(16, 3, 47),
+                  /*freeze_embedding=*/false);
+  for (std::size_t label : {0u, 1u}) {
+    check_param_gradients(model, {2, 5, 8, 11}, label, 5e-3);
+  }
+}
+
+TYPED_TEST(RecurrentClassifierTest, SwapEvaluatorMatchesFullForward) {
+  TypeParam model(recurrent_config(4, 5), small_embeddings(20, 4, 10));
+  const TokenSeq base = {2, 7, 12, 17, 3, 9};
   auto evaluator = model.make_swap_evaluator(base);
   for (std::size_t pos = 0; pos < base.size(); ++pos) {
     TokenSeq swapped = base;
@@ -173,25 +224,23 @@ TEST(Lstm, SwapEvaluatorMatchesFullForward) {
     EXPECT_EQ(evaluator->eval_swap(pos, 15), model.predict_proba(swapped))
         << "pos " << pos;
   }
+  TokenSeq multi = base;
+  multi[1] = 9;
+  multi[4] = 11;
+  EXPECT_EQ(evaluator->eval_tokens(multi), model.predict_proba(multi));
 }
 
-TEST(Lstm, SwapEvaluatorHandlesLengthChange) {
-  LstmConfig config;
-  config.embed_dim = 4;
-  config.hidden = 5;
-  LstmClassifier model(config, small_embeddings(20, 4, 11));
-  TokenSeq base = {2, 7, 12, 17};
+TYPED_TEST(RecurrentClassifierTest, SwapEvaluatorHandlesLengthChange) {
+  TypeParam model(recurrent_config(4, 5), small_embeddings(20, 4, 11));
+  const TokenSeq base = {2, 7, 12, 17};
   auto evaluator = model.make_swap_evaluator(base);
   const TokenSeq longer = {2, 7, 12, 17, 5, 6};
   EXPECT_EQ(evaluator->eval_tokens(longer), model.predict_proba(longer));
 }
 
-TEST(Lstm, SwapEvaluatorIdenticalTokensMatchesBase) {
-  LstmConfig config;
-  config.embed_dim = 4;
-  config.hidden = 5;
-  LstmClassifier model(config, small_embeddings(20, 4, 12));
-  TokenSeq base = {2, 7, 12};
+TYPED_TEST(RecurrentClassifierTest, SwapEvaluatorIdenticalTokensMatchesBase) {
+  TypeParam model(recurrent_config(4, 5), small_embeddings(20, 4, 12));
+  const TokenSeq base = {2, 7, 12};
   auto evaluator = model.make_swap_evaluator(base);
   EXPECT_EQ(evaluator->eval_tokens(base), model.predict_proba(base));
 }
